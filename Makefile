@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-quick bench-smoke bench-dataflow calibrate experiments verify trace-demo sanitize-demo plan-demo lint check-protocol check-dataflow examples coverage clean
+.PHONY: install test bench bench-suite-test bench-quick bench-smoke bench-dataflow calibrate experiments verify trace-demo sanitize-demo plan-demo lint check-protocol check-dataflow examples coverage clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -12,6 +12,13 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Self-test of the end-to-end benchmark (benchmarks/suite): quick-size
+# runs of every workload through solve()/solve_batch() under its
+# forest-oracle and self-score correctness gate.  About a minute; the
+# suite sits outside the tier-1 testpaths.
+bench-suite-test:
+	$(PYTHON) -m pytest benchmarks/suite -q
 
 # Machine-readable engine comparison: writes BENCH_slices.json at the repo
 # root (batched vs vectorized stage one, SRNA2 sweep, PRNA shm vs pipe).

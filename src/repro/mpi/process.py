@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import signal
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
@@ -352,6 +353,18 @@ def _child_main(
         result_conn.close()
 
 
+def _exit_status(exitcode: int | None) -> str:
+    """Describe a joined rank's exit: signal name, exit code, or still alive."""
+    if exitcode is None:
+        return "still running after join"
+    if exitcode < 0:
+        try:
+            return f"killed by signal {signal.Signals(-exitcode).name}"
+        except ValueError:
+            return f"killed by signal {-exitcode}"
+    return f"exit code {exitcode}"
+
+
 def run_multiprocess(
     fn: Callable[..., Any],
     size: int,
@@ -367,7 +380,9 @@ def run_multiprocess(
     Uses the ``fork`` start method (POSIX only) so *fn* and *args* need not
     be picklable.  With ``with_clocks=True`` results are
     ``(value, simulated_time)`` pairs.  A rank raising is reported as a
-    :class:`CommunicatorError` carrying its traceback.
+    :class:`CommunicatorError` carrying its traceback; a rank that exits
+    without sending a result (killed by a signal, ``os._exit``) as one
+    naming the rank and its exit code or signal.
     """
     if size < 1:
         raise CommunicatorError(f"size must be >= 1, got {size}")
@@ -404,24 +419,32 @@ def run_multiprocess(
             conn.close()
 
     outcomes: list[Any] = []
-    failure: str | None = None
     for rank in range(size):
         receiver = result_pipes[rank][0]
-        if receiver.poll(timeout):
-            outcomes.append(receiver.recv())
-        else:
-            outcomes.append(("error", f"rank {rank} timed out", None))
+        try:
+            if receiver.poll(timeout):
+                outcomes.append(receiver.recv())
+            else:
+                outcomes.append(("error", f"rank {rank} timed out", None))
+        except (EOFError, OSError):
+            # The rank died before sending; its exit status is known
+            # only after the join below.
+            outcomes.append(("lost", None, None))
         receiver.close()
     for worker in workers:
         worker.join(timeout=10.0)
         if worker.is_alive():  # pragma: no cover - hung child
             worker.terminate()
-    for rank, outcome in enumerate(outcomes):
-        status, payload, _ = outcome
-        if status == "error" and failure is None:
-            failure = f"rank {rank} failed:\n{payload}"
-    if failure is not None:
-        raise CommunicatorError(failure)
+    # A lost rank is reported first: peers failing after it are symptoms.
+    for rank, (status, _, _) in enumerate(outcomes):
+        if status == "lost":
+            raise CommunicatorError(
+                f"rank {rank} exited without a result "
+                f"({_exit_status(workers[rank].exitcode)})"
+            )
+    for rank, (status, payload, _) in enumerate(outcomes):
+        if status == "error":
+            raise CommunicatorError(f"rank {rank} failed:\n{payload}")
     if with_clocks:
         return [(payload, simulated) for _, payload, simulated in outcomes]
     return [payload for _, payload, _ in outcomes]

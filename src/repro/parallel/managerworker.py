@@ -63,7 +63,9 @@ class ManagerWorkerResult:
     score: int
     rank: int
     size: int
-    memo: DenseMemoTable | None  # only the manager's table is complete
+    #: The manager's complete table; ``None`` on workers, and on every
+    #: rank when the manager wrote into a caller-owned *out* table.
+    memo: DenseMemoTable | None
     tasks_computed: int
 
     def __int__(self) -> int:
@@ -89,11 +91,15 @@ def manager_worker_rank(
     s2: Structure,
     *,
     engine: str = "vectorized",
+    out: DenseMemoTable | None = None,
 ) -> ManagerWorkerResult:
     """SPMD body: rank 0 manages, other ranks work.
 
     With a single rank the manager computes everything itself (degenerating
-    to SRNA2), so the function is usable at any world size.
+    to SRNA2), so the function is usable at any world size.  *out* is a
+    zeroed ``(max(n, 1), max(m, 1))`` table (typically
+    :meth:`ExecutionContext.result_memo`) the manager tabulates into
+    instead of a private one; the result then carries ``memo=None``.
     """
     try:
         tabulate = ENGINES[engine]
@@ -112,7 +118,7 @@ def manager_worker_rank(
     if comm.rank == 0:
         return _manager(
             comm, s1, s2, tabulate,
-            inner1, inner2, lefts1, rights1, lefts2, rights2,
+            inner1, inner2, lefts1, rights1, lefts2, rights2, out,
         )
     return _worker(
         comm, s1, s2, tabulate,
@@ -122,10 +128,10 @@ def manager_worker_rank(
 
 def _manager(
     comm, s1, s2, tabulate,
-    inner1, inner2, lefts1, rights1, lefts2, rights2,
+    inner1, inner2, lefts1, rights1, lefts2, rights2, out,
 ) -> ManagerWorkerResult:
     n, m = s1.length, s2.length
-    memo = DenseMemoTable(n, m)
+    memo = out if out is not None else DenseMemoTable(n, m)
     values = memo.values
     workers = list(range(1, comm.size))
     tasks_computed = 0
@@ -181,7 +187,9 @@ def _manager(
     for worker in workers:
         comm.send(("stop", -1, None), worker, _TAG_TASK)
     score = comm.bcast(score, root=0)
-    return ManagerWorkerResult(score, 0, comm.size, memo, tasks_computed)
+    return ManagerWorkerResult(
+        score, 0, comm.size, memo if out is None else None, tasks_computed
+    )
 
 
 def _worker(
@@ -236,13 +244,18 @@ def manager_worker(
     :class:`repro.runtime.ExecutionContext`.  The manager polls per-worker
     point-to-point queues, so the in-process backends (``"thread"``, or
     ``"self"`` for the degenerate single-rank world) are the natural fit.
+    The manager tabulates into the context's
+    :meth:`~ExecutionContext.result_memo`, which the returned result
+    carries as ``memo``.
     """
     context = ExecutionContext(tracer=tracer, collect_stats=collect_stats)
+    out = context.result_memo(s1.length, s2.length)
     results = context.launch(
-        lambda comm: manager_worker_rank(comm, s1, s2, engine=engine),
+        lambda comm: manager_worker_rank(comm, s1, s2, engine=engine, out=out),
         n_ranks=n_ranks,
         backend=backend,
     )
+    results[0].memo = out
     return results[0]
 
 

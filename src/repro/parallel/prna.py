@@ -77,7 +77,10 @@ class PRNAResult:
     rank: int
     size: int
     partition: Partition
-    memo: DenseMemoTable
+    #: This rank's memo table.  ``None`` when the run wrote rank 0's table
+    #: into a caller-owned *out* table (:func:`prna_rank`); :func:`prna`
+    #: then attaches that table, rank 0's consolidated memo, here.
+    memo: DenseMemoTable | None
     simulated_time: float | None = None
     instrumentation: Instrumentation | None = None
     #: ``CommStats.as_dict()`` of this rank's communicator, when stats were
@@ -105,6 +108,7 @@ def prna_rank(
     shared_memory: bool | None = None,
     sanitize: bool = False,
     sanitize_timeout: float = 30.0,
+    out: DenseMemoTable | None = None,
 ) -> PRNAResult:
     """Run one rank's share of PRNA (call from SPMD context).
 
@@ -157,6 +161,13 @@ def prna_rank(
         bit-identical to unsanitized runs; the validation overhead is
         accounted in ``CommStats.sanitizer_checks``/``sanitizer_ns`` and
         (with *tracer*) as ``"sanitizer"``-category spans.
+    out:
+        A zeroed ``(max(n, 1), max(m, 1))`` table that receives rank 0's
+        final memo, typically :meth:`ExecutionContext.result_memo` shared
+        by every rank of the launch.  Rank 0 tabulates into it directly
+        (or, when its table must be a shared-reduction segment, copies
+        into it once at the end), and every rank returns ``memo=None`` so
+        no table travels back with the result.
     """
     if sync_mode not in SYNC_MODES:
         raise ValueError(f"unknown sync_mode {sync_mode!r}; one of {SYNC_MODES}")
@@ -177,6 +188,9 @@ def prna_rank(
 
     inst = instrumentation
     n, m = s1.length, s2.length
+    shape = (max(n, 1), max(m, 1))
+    if out is not None and out.shape != shape:
+        raise ValueError(f"out table has shape {out.shape}, expected {shape}")
 
     if tracer is not None:
         tracer.name_track(comm.rank, f"rank {comm.rank}")
@@ -228,6 +242,8 @@ def prna_rank(
         # Collective: every rank allocates its own segment and attaches
         # the peers'.  Row views of this table make Allreduce zero-copy.
         memo = shared_memo(comm, n, m)
+    elif out is not None and comm.rank == 0:
+        memo = out
     else:
         memo = DenseMemoTable(n, m)
     if sanitize:
@@ -343,13 +359,15 @@ def prna_rank(
     finally:
         if stage_ctx is not None:
             stage_ctx.__exit__(None, None, None)
+    if out is not None and comm.rank == 0 and use_shm:
+        np.copyto(out.values, values)
 
     return PRNAResult(
         score=score,
         rank=comm.rank,
         size=comm.size,
         partition=partition,
-        memo=memo,
+        memo=memo if out is None else None,
         simulated_time=comm.simulated_time,
         instrumentation=inst,
         comm_stats=comm.stats.as_dict() if comm.stats is not None else None,
@@ -395,9 +413,13 @@ def prna(
 
     Backend dispatch, stats enabling and tracer ownership live in
     :class:`repro.runtime.ExecutionContext`; this driver is a thin shim
-    binding :func:`prna_rank` into ``context.launch``.
+    binding :func:`prna_rank` into ``context.launch``.  Rank 0 writes its
+    table into the context's :meth:`~ExecutionContext.result_memo`, so
+    only scores and counters cross the result pipes; the returned
+    result's ``memo`` is that table.
     """
     context = ExecutionContext(tracer=tracer, collect_stats=collect_stats)
+    out = context.result_memo(s1.length, s2.length)
 
     def rank_main(comm: Communicator) -> PRNAResult:
         return prna_rank(
@@ -405,7 +427,7 @@ def prna(
             partitioner=partitioner, engine=engine, sync_mode=sync_mode,
             charge=charge, work_model=work_model, validate=validate,
             tracer=tracer, shared_memory=shared_memory,
-            sanitize=sanitize, sanitize_timeout=sanitize_timeout,
+            sanitize=sanitize, sanitize_timeout=sanitize_timeout, out=out,
         )
 
     results = context.launch(
@@ -414,5 +436,7 @@ def prna(
     if cost_model is not None:
         result, simulated = results[0]
         result.simulated_time = simulated
-        return result
-    return results[0]
+    else:
+        result = results[0]
+    result.memo = out
+    return result

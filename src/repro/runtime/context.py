@@ -6,7 +6,8 @@ wire by hand: the communicator world (``self``/``thread``/``process``
 backends), the :class:`~repro.check.sanitizer.SanitizedCommunicator`
 wrapper, the :class:`~repro.obs.tracer.Tracer`, the
 :class:`~repro.obs.metrics.MetricsRegistry`, shared-memory memo
-allocation, checkpoint settings and the :mod:`repro.obs` run-record log.
+allocation, the parent-owned result table, checkpoint settings and the
+:mod:`repro.obs` run-record log.
 
 Rule ``ARCH001`` of :mod:`repro.check` enforces the ownership: direct
 construction of any of these outside this module is a finding.  The one
@@ -17,6 +18,7 @@ including the rest of *this* module — goes through the table.
 
 from __future__ import annotations
 
+import mmap
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -43,7 +45,7 @@ __all__ = [
 #: The sanctioned raw-construction table (see module docstring): every
 #: direct communicator/tracer/shm-memo construction in the tree lives in
 #: this one suppressed line, and the helpers below are the only callers.
-_RAW: dict[str, Callable[..., Any]] = dict(tracer=lambda: Tracer(), sanitize=lambda comm, timeout, tracer: SanitizedCommunicator(comm, timeout=timeout, tracer=tracer), self_comm=lambda clock, cost_model: SelfCommunicator(clock, cost_model), shm_memo=lambda comm, shape: DenseMemoTable.wrap(comm.allocate_shared(shape, np.int64)), threaded=lambda *a, **k: run_threaded(*a, **k), multiprocess=lambda *a, **k: run_multiprocess(*a, **k))  # noqa: ARCH001
+_RAW: dict[str, Callable[..., Any]] = dict(tracer=lambda: Tracer(), sanitize=lambda comm, timeout, tracer: SanitizedCommunicator(comm, timeout=timeout, tracer=tracer), self_comm=lambda clock, cost_model: SelfCommunicator(clock, cost_model), shm_memo=lambda comm, shape: DenseMemoTable.wrap(comm.allocate_shared(shape, np.int64)), result_memo=lambda shape: DenseMemoTable.wrap(np.frombuffer(mmap.mmap(-1, shape[0] * shape[1] * 8), dtype=np.int64).reshape(shape)), threaded=lambda *a, **k: run_threaded(*a, **k), multiprocess=lambda *a, **k: run_multiprocess(*a, **k))  # noqa: ARCH001
 
 
 def sanitize_communicator(
@@ -134,6 +136,19 @@ class ExecutionContext:
         return False
 
     # ------------------------------------------------------------------
+    def result_memo(self, n: int, m: int) -> DenseMemoTable:
+        """A zeroed ``(n, m)`` result table the ranks of a launch share.
+
+        Backed by an anonymous ``MAP_SHARED`` mapping created in the
+        calling process: forked process ranks inherit it, so the rank
+        that fills it (PRNA's rank 0, the manager-worker manager) hands
+        its table to the parent without pickling, and thread/self ranks
+        see the same memory directly.  The mapping has no name — nothing
+        in ``/dev/shm`` to leak — and is unmapped with its last reference.
+        Allocate one per launch: the writer relies on it starting zeroed.
+        """
+        return _RAW["result_memo"]((max(n, 1), max(m, 1)))
+
     def instrumentation(self) -> Instrumentation:
         """A fresh :class:`Instrumentation` wired to this context's tracer."""
         return Instrumentation(tracer=self.tracer)

@@ -15,6 +15,7 @@ inside the dispatch methods.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
@@ -194,7 +195,9 @@ class Solver:
 
         All ``"auto"`` choices are resolved by the planner; the resolved
         :class:`Plan` is returned on the result and serialized into the
-        run record appended to the context.
+        run record appended to the context.  The record's ``wall_s``
+        metric is the measured execution time (planning excluded), the
+        quantity ``plan.estimated_seconds`` predicts.
         """
         s1 = _coerce(s1)
         s2 = _coerce(s2)
@@ -222,6 +225,7 @@ class Solver:
         else:
             inst = None
 
+        start = time.perf_counter()
         if plan.algorithm in PARALLEL_ALGORITHMS:
             result = self._solve_parallel(
                 s1, s2, plan, ctx,
@@ -244,6 +248,7 @@ class Solver:
                 score=score, plan=plan, matched_pairs=pairs,
                 instrumentation=inst, memo=memo,
             )
+        wall_s = time.perf_counter() - start
         result.record = ctx.record(
             record_kind,
             parameters={
@@ -252,6 +257,7 @@ class Solver:
             },
             metrics={
                 "score": result.score,
+                "wall_s": wall_s,
                 **(
                     {"comm_stats": result.comm_stats}
                     if result.comm_stats is not None else {}
@@ -305,9 +311,10 @@ class Solver:
         if plan.algorithm == "managerworker":
             from repro.parallel.managerworker import manager_worker_rank
 
+            out = ctx.result_memo(s1.length, s2.length)
             results = ctx.launch(
                 lambda comm: manager_worker_rank(
-                    comm, s1, s2, engine=plan.engine or "vectorized"
+                    comm, s1, s2, engine=plan.engine or "vectorized", out=out
                 ),
                 n_ranks=plan.n_ranks,
                 backend=plan.backend,
@@ -318,7 +325,7 @@ class Solver:
             if cost_model is not None:
                 first, simulated = first
             return SolveResult(
-                score=first.score, plan=plan, memo=first.memo,
+                score=first.score, plan=plan, memo=out,
                 simulated_time=simulated,
             )
         raise ValueError(f"algorithm {plan.algorithm!r} is not parallel")

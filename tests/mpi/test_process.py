@@ -3,6 +3,9 @@
 Kept deliberately small per test — each world forks real OS processes.
 """
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,12 @@ def _ring_probe(comm):
 def _failing_rank(comm):
     if comm.rank == 1:
         raise RuntimeError("deliberate failure in child")
+    return comm.rank
+
+
+def _killed_rank(comm):
+    if comm.rank == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
     return comm.rank
 
 
@@ -64,6 +73,10 @@ class TestRunMultiprocess:
     def test_child_failure_reported(self):
         with pytest.raises(CommunicatorError, match="deliberate failure"):
             run_multiprocess(_failing_rank, 2)
+
+    def test_killed_rank_is_a_typed_error(self):
+        with pytest.raises(CommunicatorError, match=r"rank 1 .*SIGKILL"):
+            run_multiprocess(_killed_rank, 2)
 
     def test_closure_arguments_work_with_fork(self):
         payload = {"key": [1, 2, 3]}

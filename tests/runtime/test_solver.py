@@ -90,6 +90,19 @@ class TestSolveSurface:
         assert "plan[pair]" in plan_payload["explain"]
         assert result.record.metrics["score"] == result.score
 
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"algorithm": "prna", "n_ranks": 2, "backend": "thread"}],
+        ids=["sequential", "parallel"],
+    )
+    def test_run_record_carries_measured_wall_time(self, options):
+        context = ExecutionContext()
+        result = Solver(context=context).solve("((..))", "(())", **options)
+        assert result.algorithm == options.get("algorithm", "srna2")
+        metrics = result.record.metrics
+        assert metrics["wall_s"] > 0
+        assert "estimated_seconds" in result.record.parameters["plan"]
+
     def test_comm_stats_surface(self):
         s1, s2 = make_random_pair(3)
         result = solve(
