@@ -60,7 +60,7 @@ def mcos(
     s2: Structure | str,
     *,
     algorithm: str = "srna2",
-    engine: str = "vectorized",
+    engine: str = "auto",
     with_backtrace: bool = False,
     instrument: bool = False,
     instrumentation: Instrumentation | None = None,
@@ -78,7 +78,8 @@ def mcos(
         name directly.
     engine:
         Slice engine for SRNA2 (``"vectorized"`` or ``"python"`` or
-        ``"batched"``), or ``"auto"``.
+        ``"batched"``), or ``"auto"`` (default: the planner's choice, the
+        whole-row ``"batched"`` engine for the sequential algorithms).
     with_backtrace:
         Also recover the matched arc pairs (requires ``srna1``/``srna2``).
     instrument:

@@ -1,22 +1,26 @@
 """Closed-form trace-driven simulation of PRNA on a modelled cluster.
 
-This is how Figure 8 is regenerated on a single offline core (see DESIGN.md,
-substitutions).  The simulator walks stage one's exact schedule — the same
-outer row order and the same static column partition PRNA would use — and
-charges:
+This is the one PRNA cost model in the tree: Figure 8 is regenerated with
+it on a single offline core (see DESIGN.md, substitutions), and the
+runtime planner prices its candidate plans through
+:meth:`PRNASimulator.price`.  The model walks stage one's exact schedule
+-- the same outer row order and the same static column partition PRNA
+would use -- and charges:
 
 * per-rank compute from the :class:`~repro.perf.model.WorkModel`
   (paper-calibrated by default), inflated by the cluster's intra-node
   memory-contention factor under round-robin rank placement;
-* one ``Allreduce`` of the ``m``-element memo row per outer iteration,
-  costed by :class:`~repro.mpi.costmodel.CostModel` for the chosen
-  collective algorithm;
+* under the barrier schedules, every row at its slowest rank plus one
+  ``Allreduce`` of the ``m``-element memo row per outer iteration (pipe
+  or shared-segment, costed by :class:`~repro.mpi.costmodel.CostModel`);
+  under the dataflow schedule, which has no per-row barrier, the slowest
+  rank's total plus the coalesced point-to-point publications;
 * stage two and preprocessing sequentially on rank 0.
 
-Because every row's cost is ``max_r(compute_r) + allreduce``, the whole
-simulation vectorizes over rows — simulating 64 ranks on 1600 arcs takes
-milliseconds, while validating against the *executed* virtual-time backends
-at small scale (the tests do this) keeps the model honest.
+The cost is an outer product of arc weights, so the whole simulation
+vectorizes over rows -- simulating 64 ranks on 1600 arcs takes
+milliseconds, while validating against the *executed* virtual-time
+backends at small scale (the tests do this) keeps the model honest.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.mpi.communicator import Communicator
 from repro.mpi.costmodel import ClusterSpec, CostModel, DEFAULT_CLUSTER
 from repro.perf.model import WorkModel
+from repro.runtime.registry import SYNC_MODES
 from repro.scheduling.partition import PARTITIONERS
 from repro.scheduling.workload import column_weights
 from repro.structure.arcs import Structure
@@ -50,7 +56,7 @@ class RankTrace:
     compute_seconds: float  # busy tabulating owned slices
     wait_seconds: float  # idle at row syncs waiting for slower ranks
     comm_seconds: float  # inside the Allreduce itself
-    owned_columns: int
+    owned_columns: int  # outer rows instead under distribute="rows"
 
     @property
     def utilization(self) -> float:
@@ -103,7 +109,7 @@ class SimulationReport:
     stage_two_seconds: float
     preprocessing_seconds: float
     compute_seconds: float  # critical-path compute within stage one
-    comm_seconds: float  # total collective cost on the critical path
+    comm_seconds: float  # stage-one communication on the critical path
     imbalance: float  # max rank load / mean rank load (cells)
     sequential_seconds: float  # modelled one-processor total
 
@@ -117,6 +123,15 @@ class SimulationReport:
     @property
     def efficiency(self) -> float:
         return self.speedup / self.n_ranks
+
+    def stages(self) -> dict[str, float]:
+        """The per-stage terms, which sum to ``total_seconds``."""
+        return {
+            "preprocessing_s": self.preprocessing_seconds,
+            "stage_one_compute_s": self.compute_seconds,
+            "stage_one_comm_s": self.comm_seconds,
+            "stage_two_s": self.stage_two_seconds,
+        }
 
 
 @dataclass
@@ -148,10 +163,7 @@ class PRNASimulator:
         self.cost_model = CostModel(self.cluster)
 
     # ------------------------------------------------------------------
-    def simulate(
-        self, s1: Structure, s2: Structure, n_ranks: int
-    ) -> SimulationReport:
-        """Simulate PRNA for one rank count."""
+    def _check_ranks(self, n_ranks: int) -> None:
         if n_ranks < 1:
             raise SimulationError(f"n_ranks must be >= 1, got {n_ranks}")
         if n_ranks > self.cluster.max_ranks:
@@ -160,60 +172,105 @@ class PRNASimulator:
                 f"({self.cluster.n_nodes} nodes x "
                 f"{self.cluster.cores_per_node}); cannot place {n_ranks} ranks"
             )
+
+    def simulate(
+        self, s1: Structure, s2: Structure, n_ranks: int, *,
+        schedule: str = "row", shared_memory: bool = False,
+    ) -> SimulationReport:
+        """Simulate PRNA for one rank count (see :meth:`price`)."""
+        self._check_ranks(n_ranks)
+        return self._price(s1, s2, n_ranks, schedule, shared_memory)[0]
+
+    def price(
+        self, s1: Structure, s2: Structure, n_ranks: int, *,
+        schedule: str = "row", shared_memory: bool = False,
+    ) -> SimulationReport:
+        """The PRNA cost model: per-stage terms of one configuration.
+
+        *schedule* is the stage-one ``sync_mode``.  The barrier schedules
+        (``row``, ``pair``) finish every row together, so their compute
+        term sums the per-row rank maximum; the barrier-free schedules
+        (``dataflow``, ``deferred``) only wait for the slowest rank's
+        total.  *shared_memory* prices the collectives as zero-copy
+        shared-segment reductions.  Unlike :meth:`simulate` this never
+        rejects a world size: ranks beyond the cluster's cores are priced
+        through its contention factor, as the runtime planner needs.
+        """
+        return self._price(s1, s2, n_ranks, schedule, shared_memory)[0]
+
+    def _price(
+        self, s1: Structure, s2: Structure, n_ranks: int, schedule: str,
+        shared_memory: bool,
+    ) -> tuple[SimulationReport, np.ndarray, np.ndarray]:
+        """The report, the ``(n1 x P)`` compute matrix and owned counts."""
+        if schedule not in SYNC_MODES or (
+            self.distribute == "rows" and schedule != "row"
+        ):
+            raise SimulationError(
+                f"cannot price schedule {schedule!r}: one of {SYNC_MODES}, "
+                "and only 'row' under distribute='rows'"
+            )
         wm = self.work_model
         inside1 = s1.inside_count.astype(np.float64)
-        inside2 = s2.inside_count.astype(np.float64)
-
-        if self.distribute == "rows":
-            return self._simulate_row_distribution(s1, s2, n_ranks)
-
-        # The exact static schedule PRNA would use.
-        weights = column_weights(s1, s2)
-        partition = PARTITIONERS[self.partitioner](weights, n_ranks)
-
-        # Per-rank owned-column aggregates.
-        owner = np.asarray(partition.owner, dtype=np.int64)
-        inside2_per_rank = np.zeros(n_ranks, dtype=np.float64)
-        count_per_rank = np.zeros(n_ranks, dtype=np.float64)
-        if owner.size:
-            np.add.at(inside2_per_rank, owner, inside2)
-            np.add.at(count_per_rank, owner, 1.0)
-
         contention = np.array(
             [
                 self.cluster.contention_factor(rank, n_ranks)
                 for rank in range(n_ranks)
             ]
         )
-        # Row r, rank k compute: (spc * inside1[r] * S_k + sps * C_k) * c_k.
-        per_rank_cell = wm.seconds_per_cell * inside2_per_rank * contention
-        per_rank_fixed = wm.seconds_per_slice * count_per_rank * contention
-        # (rows x ranks) cost matrix; rows = arcs of S1.
-        row_costs = np.outer(inside1, per_rank_cell) + per_rank_fixed
-        per_row_max = (
-            row_costs.max(axis=1) if row_costs.size else np.zeros(s1.n_arcs)
-        )
-        compute_seconds = float(per_row_max.sum())
+        if self.distribute == "rows":
+            # The negative ablation: one owner per outer row.  Row ``a``'s
+            # slices read memo rows written under arcs nested inside ``a``
+            # -- rows that generally live on other ranks and were
+            # synchronized one outer iteration ago.  So rows still execute
+            # in sequence, each at its full cost on its owner: the serial
+            # chain, the honest bound for the worst-case input whose rows
+            # form one dependency path.
+            owners = np.arange(s1.n_arcs) % n_ranks
+            costs = np.zeros((s1.n_arcs, n_ranks))
+            costs[np.arange(s1.n_arcs), owners] = (
+                wm.seconds_per_cell * inside1 * float(s2.inside_count.sum())
+                + wm.seconds_per_slice * s2.n_arcs
+            ) * contention[owners]
+            owned = np.bincount(owners, minlength=n_ranks)
+            imbalance = float(n_ranks)
+        else:
+            # The exact static schedule PRNA would use.
+            partition = PARTITIONERS[self.partitioner](
+                column_weights(s1, s2), n_ranks
+            )
+            owner = np.asarray(partition.owner, dtype=np.int64)
+            inside2_per_rank = np.bincount(
+                owner, weights=s2.inside_count.astype(np.float64),
+                minlength=n_ranks,
+            )
+            owned = np.bincount(owner, minlength=n_ranks)
+            # Row r, rank k: (spc * inside1[r] * S_k + sps * C_k) * c_k.
+            per_rank_cell = wm.seconds_per_cell * inside2_per_rank * contention
+            per_rank_fixed = wm.seconds_per_slice * owned * contention
+            costs = np.outer(inside1, per_rank_cell) + per_rank_fixed
+            # Load imbalance in cell terms (the quantity Figure 7 motivates).
+            loads = partition.loads()
+            mean_load = loads.mean() if loads.size else 0.0
+            imbalance = (
+                float(loads.max() / mean_load) if mean_load > 0 else 1.0
+            )
 
-        allreduce_cost = self.cost_model.allreduce(
-            n_ranks, s2.length * self.dtype_bytes, self.allreduce_algorithm
+        if schedule in ("row", "pair"):
+            compute_seconds = float(costs.max(axis=1).sum())
+        else:
+            compute_seconds = float(costs.sum(axis=0).max())
+        comm_seconds = self._comm_seconds(
+            s1, s2, n_ranks, schedule, shared_memory
         )
-        comm_seconds = allreduce_cost * s1.n_arcs
-
         stage_one = compute_seconds + comm_seconds
-        stage_two = wm.parent_slice_seconds(s1, s2)
-        prep = wm.preprocessing_seconds(s1, s2)
         # Stage two runs on rank 0 alone (no contention); the final score
         # broadcast is one more collective.
+        stage_two = wm.parent_slice_seconds(s1, s2)
         if n_ranks > 1:
             stage_two += self.cost_model.bcast(n_ranks, self.dtype_bytes)
-
-        # Load imbalance in cell terms (the quantity Figure 7 motivates).
-        loads = partition.loads()
-        mean_load = loads.mean() if loads.size else 0.0
-        imbalance = float(loads.max() / mean_load) if mean_load > 0 else 1.0
-
-        return SimulationReport(
+        prep = wm.preprocessing_seconds(s1, s2)
+        report = SimulationReport(
             n_ranks=n_ranks,
             total_seconds=prep + stage_one + stage_two,
             stage_one_seconds=stage_one,
@@ -224,56 +281,54 @@ class PRNASimulator:
             imbalance=imbalance,
             sequential_seconds=wm.total_sequential_seconds(s1, s2),
         )
+        return report, costs, owned
 
-    def _simulate_row_distribution(
-        self, s1: Structure, s2: Structure, n_ranks: int
-    ) -> SimulationReport:
-        """The negative ablation: one owner per outer row.
+    def _comm_seconds(
+        self, s1: Structure, s2: Structure, n_ranks: int, schedule: str,
+        shared_memory: bool,
+    ) -> float:
+        """Stage-one communication on the critical path of *schedule*.
 
-        Row ``a``'s slices read memo rows written under arcs nested inside
-        ``a`` — rows that, under row distribution, generally live on other
-        ranks and were synchronized one outer iteration ago.  So rows still
-        execute **in sequence**: each row costs its full compute on its
-        owner (nobody else can help) plus the same row synchronization.
-        Parallelism only materializes where rows are mutually independent,
-        which the dependency chain of nested structures denies; the model
-        below charges the serial chain, the honest upper bound for the
-        worst-case input whose rows form one dependency path.
+        The collective schedules pay one ``Allreduce`` of an ``m``-element
+        memo row per outer arc (``row``) or per arc pair (``pair``).
+
+        The dataflow schedule pays point-to-point traffic: per arc with a
+        reader, every consumer receives its column segment (``~n2/P``
+        cells); the communicator coalesces small publications up to its
+        cell threshold, so the latency term scales with *flushed batches*,
+        not publications, while the bandwidth term always pays for every
+        cell.  One final block per peer consolidates the table at rank 0
+        for stage two.  No collective appears, hence no per-row
+        ``sync_overhead`` -- the term that makes the row barrier expensive
+        on latency-bound transports.
         """
-        wm = self.work_model
-        inside1 = s1.inside_count.astype(np.float64)
-        total_inside2 = float(s2.inside_count.sum())
-        owners = np.arange(s1.n_arcs) % max(n_ranks, 1)
-        contention = np.array(
-            [
-                self.cluster.contention_factor(rank, n_ranks)
-                for rank in range(n_ranks)
-            ]
-        )
-        row_seconds = (
-            wm.seconds_per_cell * inside1 * total_inside2
-            + wm.seconds_per_slice * s2.n_arcs
-        ) * contention[owners]
-        compute_seconds = float(row_seconds.sum())
-        allreduce_cost = self.cost_model.allreduce(
-            n_ranks, s2.length * self.dtype_bytes, self.allreduce_algorithm
-        )
-        comm_seconds = allreduce_cost * s1.n_arcs
-        stage_one = compute_seconds + comm_seconds
-        stage_two = wm.parent_slice_seconds(s1, s2)
-        prep = wm.preprocessing_seconds(s1, s2)
-        if n_ranks > 1:
-            stage_two += self.cost_model.bcast(n_ranks, self.dtype_bytes)
-        return SimulationReport(
-            n_ranks=n_ranks,
-            total_seconds=prep + stage_one + stage_two,
-            stage_one_seconds=stage_one,
-            stage_two_seconds=stage_two,
-            preprocessing_seconds=prep,
-            compute_seconds=compute_seconds,
-            comm_seconds=comm_seconds,
-            imbalance=float(n_ranks),
-            sequential_seconds=wm.total_sequential_seconds(s1, s2),
+        if n_ranks <= 1 or schedule == "deferred":
+            return 0.0
+        if schedule == "dataflow":
+            # Arcs some later arc depends on: the union of inner ranges.
+            ranges = s1.inner_ranges
+            cover = np.zeros(s1.n_arcs + 1, dtype=np.int64)
+            np.add.at(cover, ranges[:, 0], 1)
+            np.add.at(cover, ranges[:, 1], -1)
+            readers = int(np.count_nonzero(np.cumsum(cover[:-1])))
+            seg_cells = max(s2.n_arcs // n_ranks, 1)
+            seg_bytes = seg_cells * self.dtype_bytes
+            publications = readers * (n_ranks - 1)
+            coalesce = max(Communicator.publish_coalesce_cells // seg_cells, 1)
+            messages = -(-publications // coalesce)
+            return (
+                messages * self.cluster.alpha
+                + publications * seg_bytes * self.cluster.beta
+                + (n_ranks - 1) * self.cost_model.p2p(s1.n_arcs * seg_bytes)
+            )
+        collectives = s1.n_arcs * (s2.n_arcs if schedule == "pair" else 1)
+        row_bytes = max(s2.length, 1) * self.dtype_bytes
+        if shared_memory:
+            return self.cluster.shm_setup + collectives * (
+                self.cost_model.shm_allreduce(n_ranks, row_bytes)
+            )
+        return collectives * self.cost_model.allreduce(
+            n_ranks, row_bytes, self.allreduce_algorithm
         )
 
     def sweep(
@@ -285,53 +340,25 @@ class PRNASimulator:
     def trace(
         self, s1: Structure, s2: Structure, n_ranks: int
     ) -> ExecutionTrace:
-        """Per-rank stage-one time breakdown under the same schedule.
+        """Per-rank stage-one time breakdown under the row schedule.
 
         Each synchronized row costs ``max_r(compute) + allreduce``; a rank
         busy for less than the row maximum *waits* for the difference.
-        Summing over rows gives each rank's compute/wait/comm split — the
-        quantity the load-balancing ablation visualizes.
+        Summing over rows gives each rank's compute/wait/comm split -- the
+        quantity the load-balancing ablation visualizes.  Every rank's
+        split adds up to :meth:`simulate`'s ``stage_one_seconds``.
         """
-        if n_ranks < 1:
-            raise SimulationError(f"n_ranks must be >= 1, got {n_ranks}")
-        wm = self.work_model
-        inside1 = s1.inside_count.astype(np.float64)
-        inside2 = s2.inside_count.astype(np.float64)
-        weights = column_weights(s1, s2)
-        partition = PARTITIONERS[self.partitioner](weights, n_ranks)
-        owner = np.asarray(partition.owner, dtype=np.int64)
-        inside2_per_rank = np.zeros(n_ranks, dtype=np.float64)
-        count_per_rank = np.zeros(n_ranks, dtype=np.float64)
-        if owner.size:
-            np.add.at(inside2_per_rank, owner, inside2)
-            np.add.at(count_per_rank, owner, 1.0)
-        contention = np.array(
-            [
-                self.cluster.contention_factor(rank, n_ranks)
-                for rank in range(n_ranks)
-            ]
-        )
-        per_rank_cell = wm.seconds_per_cell * inside2_per_rank * contention
-        per_rank_fixed = wm.seconds_per_slice * count_per_rank * contention
-        row_costs = np.outer(inside1, per_rank_cell) + per_rank_fixed
-        per_row_max = (
-            row_costs.max(axis=1)
-            if row_costs.size
-            else np.zeros(s1.n_arcs)
-        )
-        compute = row_costs.sum(axis=0) if row_costs.size else np.zeros(n_ranks)
-        wait = per_row_max.sum() - compute
-        comm_each = self.cost_model.allreduce(
-            n_ranks, s2.length * self.dtype_bytes, self.allreduce_algorithm
-        ) * s1.n_arcs
+        self._check_ranks(n_ranks)
+        report, costs, owned = self._price(s1, s2, n_ranks, "row", False)
+        compute = costs.sum(axis=0)
         ranks = tuple(
             RankTrace(
                 rank=rank,
                 node=self.cluster.node_of_rank(rank),
                 compute_seconds=float(compute[rank]),
-                wait_seconds=float(wait[rank]),
-                comm_seconds=comm_each,
-                owned_columns=int(count_per_rank[rank]),
+                wait_seconds=report.compute_seconds - float(compute[rank]),
+                comm_seconds=report.comm_seconds,
+                owned_columns=int(owned[rank]),
             )
             for rank in range(n_ranks)
         )

@@ -12,12 +12,14 @@ cost model (:mod:`repro.mpi.costmodel`).
 The central decision is the paper's Figure 8 tension made automatic:
 below a modeled work threshold the per-row synchronization tax of PRNA
 cannot pay for itself and plain SRNA2 wins; above it the planner models
-candidate world sizes with the cost model and picks the fastest.  The
-synchronization *schedule* is priced the same way: ``sync_mode="auto"``
-compares the row barrier's per-arc collective bill against the dataflow
-executor's point-to-point publication traffic, and ``shared_memory=None``
-resolves through the shm-vs-pipe crossover — all with a latency/bandwidth
-spec preferring the measured on-node calibration
+candidate world sizes and picks the fastest.  Every PRNA price comes from
+the simulator's per-stage model
+(:meth:`repro.parallel.simulator.PRNASimulator.price`) over the real
+column partition: ``sync_mode="auto"`` compares the row barrier (per-row
+slowest rank plus one collective per arc) against the dataflow schedule
+(slowest rank's total plus point-to-point publication traffic), and
+``shared_memory=None`` resolves through the shm-vs-pipe crossover — all
+with a latency/bandwidth spec preferring the measured on-node calibration
 (:func:`repro.perf.calibrate.calibrate_cluster_spec`, ``make calibrate``)
 over built-in defaults, never the paper's Fundy constants.  Dynamic
 manager-worker scheduling is selected only when the caller declares the
@@ -33,14 +35,12 @@ configuration that produced it.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
-import numpy as np
-
-from repro.mpi.communicator import Communicator
-from repro.mpi.costmodel import ClusterSpec, CostModel
+from repro.mpi.costmodel import ClusterSpec
 from repro.perf.model import WorkModel
 from repro.runtime.registry import (
     AUTO,
@@ -147,6 +147,8 @@ class Plan:
     workload: str = "pair"  # "pair" (one comparison) or "search" (batch)
     estimated_sequential_seconds: float = 0.0
     estimated_seconds: float = 0.0
+    #: ``(stage, seconds)`` terms of the model behind ``estimated_seconds``.
+    predicted_stages: tuple[tuple[str, float], ...] = ()
     rationale: tuple[str, ...] = field(default=(), repr=False)
 
     def explain(self) -> str:
@@ -171,6 +173,7 @@ class Plan:
         """JSON-serializable form, embedded in every run record."""
         payload = asdict(self)
         payload["rationale"] = list(self.rationale)
+        payload["predicted_stages"] = dict(self.predicted_stages)
         payload["explain"] = self.explain()
         contract = self.cost_contract()
         if contract is not None:
@@ -236,97 +239,34 @@ class Planner:
             "measured fit)"
         )
 
-    def _cost_model(self, max_ranks: int) -> CostModel:
-        cluster, _ = self._resolve_cluster(max_ranks)
-        return CostModel(cluster)
-
     @staticmethod
-    def _reader_arcs(s1: Structure) -> int:
-        """Arcs some later arc depends on — the dataflow publication set."""
-        n1 = s1.n_arcs
-        if n1 == 0:
-            return 0
-        mask = np.zeros(n1, dtype=bool)
-        for lo, hi in s1.inner_ranges:
-            mask[int(lo):int(hi)] = True
-        return int(np.count_nonzero(mask))
+    def _pricer(
+        s1: Structure, s2: Structure, cluster: ClusterSpec, wm: WorkModel,
+        partitioner: str, shared_memory: bool | None,
+    ) -> Callable[..., Any]:
+        """Memoized simulator reports ``price(n_ranks, sync_mode[, shm])``.
 
-    def _dataflow_comm_seconds(
-        self, s1: Structure, s2: Structure, n_ranks: int, cost: CostModel
-    ) -> float:
-        """Modeled point-to-point traffic of the dataflow schedule.
-
-        Per arc with a reader, every consumer receives its column segment
-        (``~n2/P`` cells); the communicator coalesces small publications
-        up to its cell threshold, so the latency term scales with
-        *flushed batches*, not publications, while the bandwidth term
-        always pays for every cell.  One final block per peer consolidates
-        the table at rank 0 for stage two.  No collective appears, hence
-        no per-row ``sync_overhead`` — the term that makes the row
-        barrier expensive on latency-bound transports.
+        *shm* defaults to the caller's *shared_memory*; ``"auto"`` is the
+        cheaper of the ``row`` and ``dataflow`` schedules.
         """
-        if n_ranks <= 1:
-            return 0.0
-        seg_cells = max(s2.n_arcs // n_ranks, 1)
-        seg_bytes = seg_cells * 8
-        publications = self._reader_arcs(s1) * (n_ranks - 1)
-        coalesce = max(Communicator.publish_coalesce_cells // seg_cells, 1)
-        messages = -(-publications // coalesce)
-        stage = (
-            messages * cost.cluster.alpha
-            + publications * seg_bytes * cost.cluster.beta
-        )
-        consolidation = (n_ranks - 1) * cost.p2p(s1.n_arcs * seg_bytes)
-        return stage + consolidation
 
-    def _stage_one_comm_seconds(
-        self,
-        s1: Structure,
-        s2: Structure,
-        n_ranks: int,
-        cost: CostModel,
-        sync_mode: str,
-    ) -> float:
-        """Modeled stage-one synchronization cost of one schedule."""
-        if n_ranks <= 1:
-            return 0.0
-        row_bytes = max(s2.length, 1) * 8
-        if sync_mode == AUTO:
+        @functools.lru_cache(maxsize=None)
+        def priced(n_ranks: int, sync_mode: str, shm: bool):
+            from repro.parallel.simulator import PRNASimulator
+
+            return PRNASimulator(
+                cluster=cluster, work_model=wm, partitioner=partitioner
+            ).price(s1, s2, n_ranks, schedule=sync_mode, shared_memory=shm)
+
+        def price(n_ranks, sync_mode, shm=bool(shared_memory)):
+            if sync_mode != AUTO:
+                return priced(n_ranks, sync_mode, shm)
             return min(
-                s1.n_arcs * cost.allreduce(n_ranks, row_bytes),
-                self._dataflow_comm_seconds(s1, s2, n_ranks, cost),
+                priced(n_ranks, "row", shm), priced(n_ranks, "dataflow", False),
+                key=lambda report: report.total_seconds,
             )
-        if sync_mode == "row":
-            return s1.n_arcs * cost.allreduce(n_ranks, row_bytes)
-        if sync_mode == "pair":
-            return s1.n_arcs * s2.n_arcs * cost.allreduce(n_ranks, row_bytes)
-        if sync_mode == "dataflow":
-            return self._dataflow_comm_seconds(s1, s2, n_ranks, cost)
-        return 0.0  # "deferred": no intra-stage synchronization at all
 
-    def _parallel_seconds(
-        self,
-        s1: Structure,
-        s2: Structure,
-        n_ranks: int,
-        cost: CostModel,
-        sync_mode: str = AUTO,
-    ) -> float:
-        """Modeled PRNA wall time at *n_ranks* (perfect static balance)."""
-        wm = self._work_model()
-        stage_one = wm.stage_one_seconds(s1, s2)
-        contention = max(
-            cost.cluster.contention_factor(rank, n_ranks)
-            for rank in range(n_ranks)
-        )
-        compute = stage_one / n_ranks * contention
-        comm = self._stage_one_comm_seconds(s1, s2, n_ranks, cost, sync_mode)
-        return (
-            wm.preprocessing_seconds(s1, s2)
-            + compute
-            + comm
-            + wm.parent_slice_seconds(s1, s2)
-        )
+        return price
 
     @staticmethod
     def _candidate_ranks(max_ranks: int) -> list[int]:
@@ -369,7 +309,7 @@ class Planner:
         max_ranks = hints.resolved_max_ranks()
         wm = self._work_model()
         cluster, cluster_source = self._resolve_cluster(max_ranks)
-        cost = CostModel(cluster)
+        price = self._pricer(s1, s2, cluster, wm, partitioner, shared_memory)
         sequential = wm.total_sequential_seconds(s1, s2)
         rationale: list[str] = [
             f"modeled sequential SRNA2 time {sequential:.3g} s "
@@ -379,7 +319,6 @@ class Planner:
         ]
 
         chosen_ranks = n_ranks
-        estimated = sequential
         if algorithm == AUTO and checkpoint_path is not None:
             algorithm = "srna2"
             rationale.append(
@@ -388,16 +327,17 @@ class Planner:
             )
             chosen_ranks = 1
         if algorithm == AUTO:
-            algorithm, chosen_ranks, estimated = self._choose_algorithm(
-                s1, s2, sequential, max_ranks, cost, n_ranks,
+            algorithm, chosen_ranks = self._choose_algorithm(
+                sequential, max_ranks, price, n_ranks,
                 with_backtrace, rationale, sync_mode=sync_mode,
             )
         else:
             rationale.append(f"algorithm {algorithm!r} requested by caller")
         if algorithm in PARALLEL_ALGORITHMS:
             if chosen_ranks is None:
-                chosen_ranks, estimated = self._choose_ranks(
-                    s1, s2, max_ranks, cost, rationale, sync_mode=sync_mode
+                chosen_ranks = self._choose_ranks(
+                    sequential, max_ranks, price, rationale,
+                    sync_mode=sync_mode,
                 )
         else:
             chosen_ranks = 1
@@ -409,14 +349,14 @@ class Planner:
         if sync_mode == AUTO:
             if algorithm == "prna":
                 sync_mode = self._choose_sync_mode(
-                    s1, s2, chosen_ranks, cost, cluster_source, rationale
+                    s1, chosen_ranks, price, cluster_source, rationale
                 )
             else:
                 sync_mode = "row"
         if shared_memory is None and algorithm == "prna":
             shared_memory = self._choose_shared_memory(
-                s1, s2, chosen_ranks, resolved_backend, sync_mode, cost,
-                rationale,
+                s1, chosen_ranks, resolved_backend, sync_mode, cluster,
+                price, rationale,
             )
         self._note_memory(s1, s2, chosen_ranks, resolved_backend, rationale)
         if sanitize:
@@ -426,6 +366,19 @@ class Planner:
             )
         if checkpoint_path is not None:
             rationale.append(f"stage-one checkpoints at {checkpoint_path!r}")
+        # Only PRNA is priced per configuration; every other algorithm
+        # carries the sequential model.
+        estimated = sequential
+        if algorithm == "prna":
+            report = price(chosen_ranks, sync_mode, bool(shared_memory))
+            estimated, predicted = report.total_seconds, report.stages()
+        else:
+            predicted = {
+                "preprocessing_s": wm.preprocessing_seconds(s1, s2),
+                "stage_one_compute_s": wm.stage_one_seconds(s1, s2),
+                "stage_one_comm_s": 0.0,
+                "stage_two_s": wm.parent_slice_seconds(s1, s2),
+            }
 
         return Plan(
             algorithm=algorithm,
@@ -440,90 +393,84 @@ class Planner:
             workload="pair",
             estimated_sequential_seconds=sequential,
             estimated_seconds=estimated,
+            predicted_stages=tuple(predicted.items()),
             rationale=tuple(rationale),
         )
 
     # ------------------------------------------------------------------
     def _choose_algorithm(
         self,
-        s1: Structure,
-        s2: Structure,
         sequential: float,
         max_ranks: int,
-        cost: CostModel,
+        price: Callable[..., Any],
         n_ranks: int | None,
         with_backtrace: bool,
         rationale: list[str],
         sync_mode: str = AUTO,
-    ) -> tuple[str, int | None, float]:
+    ) -> tuple[str, int | None]:
         if with_backtrace:
             rationale.append(
                 "backtrace requested -> srna2 (keeps the memo table the "
                 "backtracer re-tabulates against)"
             )
-            return "srna2", 1, sequential
+            return "srna2", 1
         if sequential < self.threshold_seconds:
             rationale.append(
                 f"below the {self.threshold_seconds:g} s parallel threshold "
                 "-> plain srna2 (per-row synchronization cannot pay for "
                 "itself; Figure 8 small-problem regime)"
             )
-            return "srna2", 1, sequential
+            return "srna2", 1
         if max_ranks < 2:
             rationale.append(
                 "work exceeds the parallel threshold but only one rank is "
                 "available -> srna2"
             )
-            return "srna2", 1, sequential
+            return "srna2", 1
         if not self.hints.predictable_costs:
             rationale.append(
                 "per-task costs declared unpredictable -> dynamic "
                 "manager-worker scheduling (static balance needs a cost "
                 "model; HiCOMB 2009 regime)"
             )
-            return "managerworker", n_ranks, sequential
-        ranks, estimated = self._choose_ranks(
-            s1, s2, max_ranks, cost, rationale, requested=n_ranks,
+            return "managerworker", n_ranks
+        ranks = self._choose_ranks(
+            sequential, max_ranks, price, rationale, requested=n_ranks,
             sync_mode=sync_mode,
         )
         rationale.append(
             f"exceeds the {self.threshold_seconds:g} s threshold -> prna "
             "(static greedy column partition, one Allreduce per memo row)"
         )
-        return "prna", ranks, estimated
+        return "prna", ranks
 
     def _choose_ranks(
         self,
-        s1: Structure,
-        s2: Structure,
+        sequential: float,
         max_ranks: int,
-        cost: CostModel,
+        price: Callable[..., Any],
         rationale: list[str],
         requested: int | None = None,
         sync_mode: str = AUTO,
-    ) -> tuple[int, float]:
+    ) -> int:
         if requested is not None:
-            estimate = self._parallel_seconds(
-                s1, s2, requested, cost, sync_mode
-            )
+            estimate = price(requested, sync_mode).total_seconds
             rationale.append(
                 f"world size {requested} requested by caller "
                 f"(modeled {estimate:.3g} s)"
             )
-            return requested, estimate
-        best_ranks, best_seconds = 1, self._work_model(
-        ).total_sequential_seconds(s1, s2)
+            return requested
+        best_ranks, best_seconds = 1, sequential
         for ranks in self._candidate_ranks(max_ranks):
-            seconds = self._parallel_seconds(s1, s2, ranks, cost, sync_mode)
+            seconds = price(ranks, sync_mode).total_seconds
             if seconds < best_seconds:
                 best_ranks, best_seconds = ranks, seconds
-        sequential = self._work_model().total_sequential_seconds(s1, s2)
         speedup = sequential / best_seconds if best_seconds > 0 else 1.0
         rationale.append(
             f"modeled best world size P={best_ranks} of <= {max_ranks}: "
             f"{best_seconds:.3g} s ({speedup:.1f}x modeled speedup)"
         )
-        return best_ranks, best_seconds
+        return best_ranks
 
     def _choose_engine(
         self, algorithm: str, engine: str, rationale: list[str]
@@ -589,19 +536,19 @@ class Planner:
     def _choose_sync_mode(
         self,
         s1: Structure,
-        s2: Structure,
         n_ranks: int,
-        cost: CostModel,
+        price: Callable[..., Any],
         cluster_source: str,
         rationale: list[str],
     ) -> str:
         """Price the row-barrier and dataflow schedules for this input.
 
-        Both prices come from the same latency/bandwidth spec (see
-        :meth:`_resolve_cluster`); the decisive structural difference is
-        that the row barrier pays ``sync_overhead`` once per outer arc
-        while the dataflow schedule pays only point-to-point transfers of
-        the cells the consumers actually read.
+        Both prices come from the simulator's model over the same
+        latency/bandwidth spec (see :meth:`_resolve_cluster`).  The row
+        barrier pays ``sync_overhead`` once per outer arc and finishes
+        every row at its slowest rank; the dataflow schedule pays only
+        point-to-point transfers of the cells the consumers actually read
+        and waits only for the slowest rank's total.
         """
         if n_ranks <= 1:
             rationale.append(
@@ -609,14 +556,17 @@ class Planner:
                 "cells to synchronize)"
             )
             return "row"
-        row_bytes = max(s2.length, 1) * 8
-        row_s = s1.n_arcs * cost.allreduce(n_ranks, row_bytes)
-        df_s = self._dataflow_comm_seconds(s1, s2, n_ranks, cost)
-        mode = "dataflow" if df_s < row_s else "row"
+        row = price(n_ranks, "row")
+        dataflow = price(n_ranks, "dataflow")
+        mode = (
+            "dataflow" if dataflow.total_seconds < row.total_seconds else "row"
+        )
         rationale.append(
-            f"sync auto -> {mode!r}: modeled stage-one sync — row barrier "
-            f"{row_s:.3g} s ({s1.n_arcs} Allreduce) vs dataflow {df_s:.3g} s "
-            f"(dependency-driven coalesced publication); priced with "
+            f"sync auto -> {mode!r}: modeled stage one — row barrier "
+            f"{row.stage_one_seconds:.3g} s ({row.comm_seconds:.3g} s in "
+            f"{s1.n_arcs} Allreduce) vs dataflow "
+            f"{dataflow.stage_one_seconds:.3g} s ({dataflow.comm_seconds:.3g} "
+            f"s dependency-driven coalesced publication); priced with "
             f"{cluster_source}"
         )
         return mode
@@ -624,11 +574,11 @@ class Planner:
     def _choose_shared_memory(
         self,
         s1: Structure,
-        s2: Structure,
         n_ranks: int,
         backend: str,
         sync_mode: str,
-        cost: CostModel,
+        cluster: ClusterSpec,
+        price: Callable[..., Any],
         rationale: list[str],
     ) -> bool | None:
         """Resolve ``shared_memory=None`` via the shm-vs-pipe crossover.
@@ -650,18 +600,13 @@ class Planner:
                 "to accelerate"
             )
             return False
-        rows = s1.n_arcs
-        row_bytes = max(s2.length, 1) * 8
-        pipe_s = rows * cost.allreduce(n_ranks, row_bytes)
-        shm_s = (
-            cost.cluster.shm_setup
-            + rows * cost.shm_allreduce(n_ranks, row_bytes)
-        )
+        pipe_s = price(n_ranks, sync_mode, False).comm_seconds
+        shm_s = price(n_ranks, sync_mode, True).comm_seconds
         use = shm_s < pipe_s
         rationale.append(
-            f"shared-memory rows {'on' if use else 'off'}: {rows} row "
+            f"shared-memory rows {'on' if use else 'off'}: {s1.n_arcs} row "
             f"reductions modeled shm {shm_s:.3g} s (incl. "
-            f"{cost.cluster.shm_setup:.3g} s setup) vs pipe {pipe_s:.3g} s"
+            f"{cluster.shm_setup:.3g} s setup) vs pipe {pipe_s:.3g} s"
         )
         return use
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.mpi.costmodel import ClusterSpec
 from repro.parallel.simulator import PRNASimulator
 from repro.structure.generators import contrived_worst_case, rna_like_structure
 
@@ -62,3 +63,30 @@ class TestTrace:
         s = contrived_worst_case(100)
         with pytest.raises(SimulationError):
             PRNASimulator().trace(s, s, 0)
+
+    @pytest.mark.parametrize("distribute", ["columns", "rows"])
+    def test_rank_split_adds_up_to_stage_one(self, distribute):
+        """trace reads the same computation simulate reports from."""
+        s = contrived_worst_case(200)
+        simulator = PRNASimulator(distribute=distribute)
+        stage_one = simulator.simulate(s, s, 8).stage_one_seconds
+        trace = simulator.trace(s, s, 8)
+        for rank in trace.ranks:
+            assert (
+                rank.compute_seconds + rank.wait_seconds + rank.comm_seconds
+            ) == pytest.approx(stage_one)
+
+    def test_row_distribution_owns_rows(self):
+        s = contrived_worst_case(200)
+        trace = PRNASimulator(distribute="rows").trace(s, s, 8)
+        assert sum(r.owned_columns for r in trace.ranks) == s.n_arcs
+        # Rows serialize: every rank idles while the others compute.
+        assert all(r.utilization < 0.25 for r in trace.ranks)
+
+    def test_too_many_ranks(self):
+        s = contrived_worst_case(100)
+        simulator = PRNASimulator(
+            cluster=ClusterSpec(cores_per_node=2, n_nodes=1)
+        )
+        with pytest.raises(SimulationError, match="cannot place"):
+            simulator.trace(s, s, 4)

@@ -102,6 +102,17 @@ class TestSolveSurface:
         metrics = result.record.metrics
         assert metrics["wall_s"] > 0
         assert "estimated_seconds" in result.record.parameters["plan"]
+        # Beside the measurement: the model's per-stage prediction.
+        plan = result.record.parameters["plan"]
+        predicted = plan["predicted_stages"]
+        assert list(predicted) == [
+            "preprocessing_s", "stage_one_compute_s",
+            "stage_one_comm_s", "stage_two_s",
+        ]
+        assert sum(predicted.values()) == pytest.approx(
+            plan["estimated_seconds"], rel=1e-12
+        )
+        assert (predicted["stage_one_comm_s"] > 0) == bool(options)
 
     def test_comm_stats_surface(self):
         s1, s2 = make_random_pair(3)
@@ -177,6 +188,21 @@ class TestMcosShim:
     def test_mcos_defaults_through_planner_unchanged(self):
         s1, s2 = make_random_pair(7)
         assert mcos(s1, s2).score == srna2(s1, s2).score
+
+    def test_mcos_default_engine_is_batched(self, monkeypatch):
+        import repro.core.api as api
+
+        plans = []
+
+        def spy(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            plans.append(result.plan)
+            return result
+
+        monkeypatch.setattr(api, "solve", spy)
+        s1, s2 = make_random_pair(7)
+        assert mcos(s1, s2).score == srna2(s1, s2).score
+        assert [(p.algorithm, p.engine) for p in plans] == [("srna2", "batched")]
 
     def test_mcos_backtrace_preserved(self):
         result = mcos("((..))", "((..))", with_backtrace=True)
