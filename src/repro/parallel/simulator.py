@@ -44,7 +44,13 @@ __all__ = [
     "ExecutionTrace",
     "PRNASimulator",
     "simulate_speedup",
+    "STAGE_TERMS",
 ]
+
+#: Names of the per-stage terms, in :meth:`SimulationReport.stages` order.
+STAGE_TERMS = (
+    "preprocessing_s", "stage_one_compute_s", "stage_one_comm_s", "stage_two_s"
+)
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,10 @@ class SimulationReport:
     comm_seconds: float  # stage-one communication on the critical path
     imbalance: float  # max rank load / mean rank load (cells)
     sequential_seconds: float  # modelled one-processor total
+    #: Each rank's stage-one compute and owned columns (outer rows under
+    #: distribute="rows"), which :meth:`PRNASimulator.trace` renders.
+    rank_compute_seconds: tuple[float, ...] = ()
+    rank_owned: tuple[int, ...] = ()
 
     @property
     def speedup(self) -> float:
@@ -126,12 +136,10 @@ class SimulationReport:
 
     def stages(self) -> dict[str, float]:
         """The per-stage terms, which sum to ``total_seconds``."""
-        return {
-            "preprocessing_s": self.preprocessing_seconds,
-            "stage_one_compute_s": self.compute_seconds,
-            "stage_one_comm_s": self.comm_seconds,
-            "stage_two_s": self.stage_two_seconds,
-        }
+        return dict(zip(STAGE_TERMS, (
+            self.preprocessing_seconds, self.compute_seconds,
+            self.comm_seconds, self.stage_two_seconds,
+        )))
 
 
 @dataclass
@@ -163,26 +171,20 @@ class PRNASimulator:
         self.cost_model = CostModel(self.cluster)
 
     # ------------------------------------------------------------------
-    def _check_ranks(self, n_ranks: int) -> None:
-        if n_ranks < 1:
-            raise SimulationError(f"n_ranks must be >= 1, got {n_ranks}")
+    def simulate(
+        self, s1: Structure, s2: Structure, n_ranks: int
+    ) -> SimulationReport:
+        """Simulate PRNA for one rank count under the row schedule."""
         if n_ranks > self.cluster.max_ranks:
             raise SimulationError(
                 f"cluster has only {self.cluster.max_ranks} cores "
                 f"({self.cluster.n_nodes} nodes x "
                 f"{self.cluster.cores_per_node}); cannot place {n_ranks} ranks"
             )
-
-    def simulate(
-        self, s1: Structure, s2: Structure, n_ranks: int, *,
-        schedule: str = "row", shared_memory: bool = False,
-    ) -> SimulationReport:
-        """Simulate PRNA for one rank count (see :meth:`price`)."""
-        self._check_ranks(n_ranks)
-        return self._price(s1, s2, n_ranks, schedule, shared_memory)[0]
+        return self.price(s1, s2, n_ranks)
 
     def price(
-        self, s1: Structure, s2: Structure, n_ranks: int, *,
+        self, s1: Structure, s2: Structure, n_ranks: int,
         schedule: str = "row", shared_memory: bool = False,
     ) -> SimulationReport:
         """The PRNA cost model: per-stage terms of one configuration.
@@ -193,16 +195,11 @@ class PRNASimulator:
         (``dataflow``, ``deferred``) only wait for the slowest rank's
         total.  *shared_memory* prices the collectives as zero-copy
         shared-segment reductions.  Unlike :meth:`simulate` this never
-        rejects a world size: ranks beyond the cluster's cores are priced
-        through its contention factor, as the runtime planner needs.
+        rejects a world size above the cluster's cores: such ranks are
+        priced through its contention factor, as the runtime planner needs.
         """
-        return self._price(s1, s2, n_ranks, schedule, shared_memory)[0]
-
-    def _price(
-        self, s1: Structure, s2: Structure, n_ranks: int, schedule: str,
-        shared_memory: bool,
-    ) -> tuple[SimulationReport, np.ndarray, np.ndarray]:
-        """The report, the ``(n1 x P)`` compute matrix and owned counts."""
+        if n_ranks < 1:
+            raise SimulationError(f"n_ranks must be >= 1, got {n_ranks}")
         if schedule not in SYNC_MODES or (
             self.distribute == "rows" and schedule != "row"
         ):
@@ -270,7 +267,7 @@ class PRNASimulator:
         if n_ranks > 1:
             stage_two += self.cost_model.bcast(n_ranks, self.dtype_bytes)
         prep = wm.preprocessing_seconds(s1, s2)
-        report = SimulationReport(
+        return SimulationReport(
             n_ranks=n_ranks,
             total_seconds=prep + stage_one + stage_two,
             stage_one_seconds=stage_one,
@@ -280,8 +277,9 @@ class PRNASimulator:
             comm_seconds=comm_seconds,
             imbalance=imbalance,
             sequential_seconds=wm.total_sequential_seconds(s1, s2),
+            rank_compute_seconds=tuple(costs.sum(axis=0).tolist()),
+            rank_owned=tuple(owned.tolist()),
         )
-        return report, costs, owned
 
     def _comm_seconds(
         self, s1: Structure, s2: Structure, n_ranks: int, schedule: str,
@@ -348,19 +346,19 @@ class PRNASimulator:
         quantity the load-balancing ablation visualizes.  Every rank's
         split adds up to :meth:`simulate`'s ``stage_one_seconds``.
         """
-        self._check_ranks(n_ranks)
-        report, costs, owned = self._price(s1, s2, n_ranks, "row", False)
-        compute = costs.sum(axis=0)
+        report = self.simulate(s1, s2, n_ranks)
         ranks = tuple(
             RankTrace(
                 rank=rank,
                 node=self.cluster.node_of_rank(rank),
-                compute_seconds=float(compute[rank]),
-                wait_seconds=report.compute_seconds - float(compute[rank]),
+                compute_seconds=busy,
+                wait_seconds=report.compute_seconds - busy,
                 comm_seconds=report.comm_seconds,
-                owned_columns=int(owned[rank]),
+                owned_columns=owned,
             )
-            for rank in range(n_ranks)
+            for rank, (busy, owned) in enumerate(
+                zip(report.rank_compute_seconds, report.rank_owned)
+            )
         )
         return ExecutionTrace(n_ranks=n_ranks, ranks=ranks, rows=s1.n_arcs)
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.mpi.costmodel import ClusterSpec
 from repro.perf.model import WorkModel
@@ -51,6 +51,12 @@ from repro.runtime.registry import (
     validate_choice,
 )
 from repro.structure.arcs import Structure
+
+if TYPE_CHECKING:
+    from repro.parallel.simulator import SimulationReport
+
+#: ``price(n_ranks, sync_mode, shared_memory)`` for one plan's pair.
+Pricer = Callable[[int, str, bool], "SimulationReport"]
 
 __all__ = [
     "PARALLEL_THRESHOLD_SECONDS",
@@ -240,33 +246,19 @@ class Planner:
         )
 
     @staticmethod
-    def _pricer(
-        s1: Structure, s2: Structure, cluster: ClusterSpec, wm: WorkModel,
-        partitioner: str, shared_memory: bool | None,
-    ) -> Callable[..., Any]:
-        """Memoized simulator reports ``price(n_ranks, sync_mode[, shm])``.
+    def _schedule(
+        price: Pricer, n_ranks: int, sync_mode: str, shm: bool
+    ) -> tuple[str, SimulationReport]:
+        """The stage-one schedule *sync_mode* resolves to, with its price.
 
-        *shm* defaults to the caller's *shared_memory*; ``"auto"`` is the
-        cheaper of the ``row`` and ``dataflow`` schedules.
+        ``"auto"`` is the cheaper of the row barrier and the dataflow
+        schedule, the row barrier on a tie.
         """
-
-        @functools.lru_cache(maxsize=None)
-        def priced(n_ranks: int, sync_mode: str, shm: bool):
-            from repro.parallel.simulator import PRNASimulator
-
-            return PRNASimulator(
-                cluster=cluster, work_model=wm, partitioner=partitioner
-            ).price(s1, s2, n_ranks, schedule=sync_mode, shared_memory=shm)
-
-        def price(n_ranks, sync_mode, shm=bool(shared_memory)):
-            if sync_mode != AUTO:
-                return priced(n_ranks, sync_mode, shm)
-            return min(
-                priced(n_ranks, "row", shm), priced(n_ranks, "dataflow", False),
-                key=lambda report: report.total_seconds,
-            )
-
-        return price
+        modes = ("row", "dataflow") if sync_mode == AUTO else (sync_mode,)
+        return min(
+            ((mode, price(n_ranks, mode, shm)) for mode in modes),
+            key=lambda priced: priced[1].total_seconds,
+        )
 
     @staticmethod
     def _candidate_ranks(max_ranks: int) -> list[int]:
@@ -296,6 +288,8 @@ class Planner:
         with_backtrace: bool = False,
     ) -> Plan:
         """Resolve a plan for one structure comparison."""
+        from repro.parallel.simulator import STAGE_TERMS, PRNASimulator
+
         algorithm = validate_choice("algorithm", algorithm, allow_auto=True)
         engine = validate_choice("engine", engine, allow_auto=True)
         partitioner = validate_choice("partitioner", partitioner)
@@ -309,7 +303,15 @@ class Planner:
         max_ranks = hints.resolved_max_ranks()
         wm = self._work_model()
         cluster, cluster_source = self._resolve_cluster(max_ranks)
-        price = self._pricer(s1, s2, cluster, wm, partitioner, shared_memory)
+        # Every PRNA price below is this pair's simulator model, memoized
+        # per (n_ranks, sync_mode, shared_memory).
+        simulator = PRNASimulator(
+            cluster=cluster, work_model=wm, partitioner=partitioner
+        )
+        price: Pricer = functools.lru_cache(maxsize=None)(
+            functools.partial(simulator.price, s1, s2)
+        )
+        shm = bool(shared_memory)
         sequential = wm.total_sequential_seconds(s1, s2)
         rationale: list[str] = [
             f"modeled sequential SRNA2 time {sequential:.3g} s "
@@ -329,7 +331,7 @@ class Planner:
         if algorithm == AUTO:
             algorithm, chosen_ranks = self._choose_algorithm(
                 sequential, max_ranks, price, n_ranks,
-                with_backtrace, rationale, sync_mode=sync_mode,
+                with_backtrace, rationale, sync_mode=sync_mode, shm=shm,
             )
         else:
             rationale.append(f"algorithm {algorithm!r} requested by caller")
@@ -337,7 +339,7 @@ class Planner:
             if chosen_ranks is None:
                 chosen_ranks = self._choose_ranks(
                     sequential, max_ranks, price, rationale,
-                    sync_mode=sync_mode,
+                    sync_mode=sync_mode, shm=shm,
                 )
         else:
             chosen_ranks = 1
@@ -349,7 +351,7 @@ class Planner:
         if sync_mode == AUTO:
             if algorithm == "prna":
                 sync_mode = self._choose_sync_mode(
-                    s1, chosen_ranks, price, cluster_source, rationale
+                    s1, chosen_ranks, price, shm, cluster_source, rationale
                 )
             else:
                 sync_mode = "row"
@@ -368,17 +370,14 @@ class Planner:
             rationale.append(f"stage-one checkpoints at {checkpoint_path!r}")
         # Only PRNA is priced per configuration; every other algorithm
         # carries the sequential model.
-        estimated = sequential
         if algorithm == "prna":
             report = price(chosen_ranks, sync_mode, bool(shared_memory))
             estimated, predicted = report.total_seconds, report.stages()
         else:
-            predicted = {
-                "preprocessing_s": wm.preprocessing_seconds(s1, s2),
-                "stage_one_compute_s": wm.stage_one_seconds(s1, s2),
-                "stage_one_comm_s": 0.0,
-                "stage_two_s": wm.parent_slice_seconds(s1, s2),
-            }
+            estimated, predicted = sequential, dict(zip(STAGE_TERMS, (
+                wm.preprocessing_seconds(s1, s2), wm.stage_one_seconds(s1, s2),
+                0.0, wm.parent_slice_seconds(s1, s2),
+            )))
 
         return Plan(
             algorithm=algorithm,
@@ -402,11 +401,12 @@ class Planner:
         self,
         sequential: float,
         max_ranks: int,
-        price: Callable[..., Any],
+        price: Pricer,
         n_ranks: int | None,
         with_backtrace: bool,
         rationale: list[str],
         sync_mode: str = AUTO,
+        shm: bool = False,
     ) -> tuple[str, int | None]:
         if with_backtrace:
             rationale.append(
@@ -436,7 +436,7 @@ class Planner:
             return "managerworker", n_ranks
         ranks = self._choose_ranks(
             sequential, max_ranks, price, rationale, requested=n_ranks,
-            sync_mode=sync_mode,
+            sync_mode=sync_mode, shm=shm,
         )
         rationale.append(
             f"exceeds the {self.threshold_seconds:g} s threshold -> prna "
@@ -448,23 +448,24 @@ class Planner:
         self,
         sequential: float,
         max_ranks: int,
-        price: Callable[..., Any],
+        price: Pricer,
         rationale: list[str],
         requested: int | None = None,
         sync_mode: str = AUTO,
+        shm: bool = False,
     ) -> int:
         if requested is not None:
-            estimate = price(requested, sync_mode).total_seconds
+            _, report = self._schedule(price, requested, sync_mode, shm)
             rationale.append(
                 f"world size {requested} requested by caller "
-                f"(modeled {estimate:.3g} s)"
+                f"(modeled {report.total_seconds:.3g} s)"
             )
             return requested
         best_ranks, best_seconds = 1, sequential
         for ranks in self._candidate_ranks(max_ranks):
-            seconds = price(ranks, sync_mode).total_seconds
-            if seconds < best_seconds:
-                best_ranks, best_seconds = ranks, seconds
+            _, report = self._schedule(price, ranks, sync_mode, shm)
+            if report.total_seconds < best_seconds:
+                best_ranks, best_seconds = ranks, report.total_seconds
         speedup = sequential / best_seconds if best_seconds > 0 else 1.0
         rationale.append(
             f"modeled best world size P={best_ranks} of <= {max_ranks}: "
@@ -537,7 +538,8 @@ class Planner:
         self,
         s1: Structure,
         n_ranks: int,
-        price: Callable[..., Any],
+        price: Pricer,
+        shm: bool,
         cluster_source: str,
         rationale: list[str],
     ) -> str:
@@ -556,11 +558,9 @@ class Planner:
                 "cells to synchronize)"
             )
             return "row"
-        row = price(n_ranks, "row")
-        dataflow = price(n_ranks, "dataflow")
-        mode = (
-            "dataflow" if dataflow.total_seconds < row.total_seconds else "row"
-        )
+        mode, _ = self._schedule(price, n_ranks, AUTO, shm)
+        row = price(n_ranks, "row", shm)
+        dataflow = price(n_ranks, "dataflow", shm)
         rationale.append(
             f"sync auto -> {mode!r}: modeled stage one — row barrier "
             f"{row.stage_one_seconds:.3g} s ({row.comm_seconds:.3g} s in "
@@ -578,7 +578,7 @@ class Planner:
         backend: str,
         sync_mode: str,
         cluster: ClusterSpec,
-        price: Callable[..., Any],
+        price: Pricer,
         rationale: list[str],
     ) -> bool | None:
         """Resolve ``shared_memory=None`` via the shm-vs-pipe crossover.

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.mpi.costmodel import ClusterSpec
 from repro.parallel.simulator import PRNASimulator
 from repro.perf.model import WorkModel
+from repro.runtime import solve
 from repro.runtime.plan import Planner, ResourceHints, local_cluster
 from repro.structure.generators import contrived_worst_case, rna_like_structure
 
@@ -74,3 +76,10 @@ def test_sequential_plan_predicts_no_communication():
     assert predicted["stage_one_comm_s"] == 0.0
     assert predicted["stage_one_compute_s"] == wm.stage_one_seconds(s, s)
     assert plan.estimated_seconds == wm.total_sequential_seconds(s, s)
+
+
+@pytest.mark.parametrize("algorithm", ["prna", "auto"])
+def test_empty_world_is_rejected(algorithm):
+    s = contrived_worst_case(400)
+    with pytest.raises(SimulationError, match="n_ranks must be >= 1"):
+        solve(s, s, algorithm=algorithm, n_ranks=0)
