@@ -21,7 +21,7 @@ bench-suite-test:
 	$(PYTHON) -m pytest benchmarks/suite -q
 
 # Machine-readable engine comparison: writes BENCH_slices.json at the repo
-# root (batched vs vectorized stage one, SRNA2 sweep, PRNA shm vs pipe).
+# root (batched vs vectorized stage one, SRNA2 sweep, PRNA row vs dataflow).
 bench-quick:
 	$(PYTHON) benchmarks/bench_quick.py
 

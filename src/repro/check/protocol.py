@@ -5,7 +5,7 @@ This is the static counterpart of the runtime sanitizer: where
 this pass *proves or refutes* schedule agreement before the code runs.
 
 For every SPMD entry point (module-level functions taking a ``comm``
-parameter, the shm ``Allreduce`` protocol in :mod:`repro.mpi.process`,
+parameter, the pipe ``Allreduce`` protocol in :mod:`repro.mpi.process`,
 and any executor entry declared in :mod:`repro.runtime.registry`) the
 analyzer interprets the body once per abstract rank (``rank == 0`` and a
 symbolic non-zero rank), inlining calls through the
@@ -83,7 +83,7 @@ from repro.check.rules import (
 __all__ = ["analyze_protocol", "extract_schedules", "check_declared_schedules"]
 
 #: Protocol methods analyzed as entry points even though they are methods
-#: (the shm two-barrier reduction is the protocol ROADMAP item 3 rides on).
+#: (the process backend's recursive-doubling row reduction).
 _METHOD_ENTRIES = ("ProcessCommunicator.Allreduce",)
 
 _MAX_INLINE_DEPTH = 24

@@ -665,7 +665,7 @@ def _check_architecture(
                 f"direct construction of runtime machinery ({flagged!r}) "
                 "outside repro.runtime.context — route through "
                 "ExecutionContext (or its sanitize_communicator/"
-                "shared_memo helpers) so plans, stats and sanitizers "
+                "result_memo helpers) so plans, stats and sanitizers "
                 "stay consistent",
             )
         )

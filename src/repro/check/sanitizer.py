@@ -1,9 +1,9 @@
 """Runtime SPMD sanitizers: collective stamping and memo-race detection.
 
 :class:`SanitizedCommunicator` wraps any
-:class:`~repro.mpi.communicator.Communicator` (in-process threads, the
-pipe/process backend, shared memory on or off) and enforces the protocol
-PRNA's correctness silently assumes:
+:class:`~repro.mpi.communicator.Communicator` (in-process threads or the
+pipe/process backend) and enforces the protocol PRNA's correctness
+silently assumes:
 
 * every collective is stamped with a per-rank **sequence number, op,
   dtype, shape, root, and call site**; the stamps rendezvous at rank 0
@@ -15,8 +15,8 @@ PRNA's correctness silently assumes:
 * memo tables registered through :meth:`SanitizedCommunicator.guard_memo`
   are diffed against a per-rank **shadow copy** at every row
   ``Allreduce`` — out-of-partition writes, cross-rank write/write
-  overlaps, and reads of cells a peer wrote in the same two-barrier
-  window all raise with the offending cells.
+  overlaps, and reads of cells a peer wrote in the same row window all
+  raise with the offending cells.
 
 Diagnostic codes (all raised as :class:`~repro.errors.SanitizerError`):
 
@@ -44,11 +44,10 @@ SAN104 diagnostic instead of a hang.  This is the runtime twin of the
 static SCHED001–003 proof in :mod:`repro.check.protocol`.
 
 The wrapper is **result-transparent**: it validates and then delegates,
-so sanitized runs are bit-identical to plain ones (asserted by tests),
-and the zero-copy shared-memory reduction path is preserved because the
-inner communicator still sees its own shm-backed buffers.  Overhead is
-accounted in ``CommStats.sanitizer_checks`` / ``sanitizer_ns`` and, when
-a tracer is attached, as spans with category ``"sanitizer"``.
+so sanitized runs are bit-identical to plain ones (asserted by tests).
+Overhead is accounted in ``CommStats.sanitizer_checks`` /
+``sanitizer_ns`` and, when a tracer is attached, as spans with category
+``"sanitizer"``.
 """
 
 from __future__ import annotations
@@ -205,10 +204,6 @@ class SanitizedCommunicator(Communicator):
         """The wrapped communicator (escape hatch for tests)."""
         return self._inner
 
-    @property
-    def supports_shared_reduction(self) -> bool:
-        return self._inner.supports_shared_reduction
-
     def charge_compute(self, seconds: float) -> None:
         """Charge simulated compute to the wrapped communicator's clock."""
         self._inner.charge_compute(seconds)
@@ -216,10 +211,6 @@ class SanitizedCommunicator(Communicator):
     @property
     def simulated_time(self) -> float | None:
         return self._inner.simulated_time
-
-    def close(self) -> None:
-        """Release the wrapped communicator's resources."""
-        self._inner.close()
 
     def _send(self, obj: Any, dest: int, tag: int = 0) -> None:
         self._inner._send(obj, dest, tag)
@@ -423,8 +414,7 @@ class SanitizedCommunicator(Communicator):
         """Validated in-place buffer reduction.
 
         Stamps op/dtype/shape, runs the memo-race window check when
-        *buffer* is a row of a guarded table, then delegates — the inner
-        backend's zero-copy shared-memory path still engages.
+        *buffer* is a row of a guarded table, then delegates.
         """
         if isinstance(buffer, np.ndarray):
             self._validate_collective(
@@ -442,15 +432,6 @@ class SanitizedCommunicator(Communicator):
         self._inner.Allreduce(buffer, op)
         if guard is not None:
             self._refresh_guard(guard, row, buffer)
-
-    def allocate_shared(self, shape, dtype=np.int64) -> np.ndarray:
-        """Validated collective shared allocation (shape/dtype checked)."""
-        self._validate_collective(
-            "allocate_shared",
-            shape=tuple(int(extent) for extent in shape),
-            dtype=str(np.dtype(dtype)),
-        )
-        return self._inner.allocate_shared(shape, dtype)
 
     # -- memo-table race detection ----------------------------------------
     def guard_memo(self, table, owned_columns=None) -> SanitizedMemoTable:

@@ -86,11 +86,10 @@ class DenseMemoTable:
     def wrap(cls, values: np.ndarray) -> "DenseMemoTable":
         """Adopt an existing 2-D array as the table's backing storage.
 
-        Used by PRNA to back the memo with a shared-memory segment
-        allocated by the communicator (see
-        :meth:`repro.mpi.process.ProcessCommunicator.allocate_shared`), so
-        row synchronization can reduce in place without copies.  The array
-        is used as-is — the caller guarantees it starts zeroed.
+        Used to back the result table with a parent-owned shared mapping
+        (see :meth:`repro.runtime.context.ExecutionContext.result_memo`),
+        so the writing rank hands its table back without pickling.  The
+        array is used as-is — the caller guarantees it starts zeroed.
         """
         if values.ndim != 2:
             raise ValueError(

@@ -71,8 +71,6 @@ class CommStats:
         "bcasts",
         "allreduces",
         "allreduce_bytes",
-        "shm_allreduces",
-        "shm_allreduce_bytes",
         "exchanges",
         "publishes",
         "awaits",
@@ -91,13 +89,6 @@ class CommStats:
         self.bcasts = 0
         self.allreduces = 0
         self.allreduce_bytes = 0
-        #: Allreduces served by the zero-copy shared-memory path (subset of
-        #: ``allreduces``); such rounds pickle only control messages, so
-        #: their payload bytes land in ``shm_allreduce_bytes`` while
-        #: ``allreduce_bytes`` (bytes *pickled* for reduction payloads)
-        #: stays untouched.
-        self.shm_allreduces = 0
-        self.shm_allreduce_bytes = 0
         self.exchanges = 0
         #: Dependency-driven publication channel (the dataflow executor's
         #: substrate): ``publishes`` counts coalesced batch messages put on
@@ -235,31 +226,6 @@ class Communicator(ABC):
     def size(self) -> int:
         """Number of ranks in the communicator."""
         return self._size
-
-    # -- shared-memory reductions (optional backend capability) -----------
-    @property
-    def supports_shared_reduction(self) -> bool:
-        """Whether :meth:`allocate_shared` + zero-copy :meth:`Allreduce`
-        are available (only the process backend implements them)."""
-        return False
-
-    def allocate_shared(self, shape, dtype=np.int64) -> np.ndarray:
-        """Collectively allocate a zeroed array visible to every rank.
-
-        Each rank gets its *own* writable array; backends supporting
-        shared reductions recognize views of it inside :meth:`Allreduce`
-        and reduce in place across all ranks' segments without pickling
-        the payload.  Must be called by all ranks together with identical
-        arguments.
-        """
-        raise CommunicatorError(
-            f"{type(self).__name__} does not support shared-memory "
-            "allocation (supports_shared_reduction is False)"
-        )
-
-    def close(self) -> None:
-        """Release backend resources (shared segments); idempotent."""
-        return None
 
     # -- primitives every backend must provide ---------------------------
     @abstractmethod

@@ -45,16 +45,6 @@ class ClusterSpec:
     contention:
         Additional fraction of compute time added per extra rank sharing a
         node (memory-bandwidth contention for this memory-bound kernel).
-    shm_beta:
-        Per-byte cost of the in-place shared-segment reduction sweep
-        (memory bandwidth, not pipe+pickle bandwidth).  Only meaningful on
-        one-node specs; zero leaves the sweep free and the shm decision to
-        the control-message terms.
-    shm_setup:
-        One-time cost of establishing a shared-memory allocation group
-        (segment creation, name exchange, peer attach, zeroing barrier).
-        Amortized over every reduction of the run, so it is what makes
-        shared memory a *crossover* decision rather than a default.
     """
 
     cores_per_node: int = 8
@@ -63,8 +53,6 @@ class ClusterSpec:
     beta: float = 1.0e-8
     sync_overhead: float = 1.0e-2
     contention: float = 0.135
-    shm_beta: float = 0.0
-    shm_setup: float = 0.0
 
     @property
     def max_ranks(self) -> int:
@@ -157,21 +145,6 @@ class CostModel:
             f"unknown allreduce algorithm {algorithm!r}; expected "
             "'recursive_doubling', 'ring' or 'linear'"
         )
-
-    def shm_allreduce(self, n_ranks: int, nbytes: int) -> float:
-        """Zero-copy shared-segment reduction (ProcessCommunicator path).
-
-        A mode-agreement exchange plus two pipe barriers bracket a
-        serialized in-place sweep over all ranks' segments: three control
-        rounds whose cost is latency-bound, then ``P * nbytes`` of memory
-        traffic at ``shm_beta``.  No payload is pickled, which is the
-        whole point — but the control rounds mean small buffers are
-        *cheaper* over the pipes (the planner prices this crossover).
-        """
-        if n_ranks <= 1:
-            return 0.0
-        control = 3 * self.barrier(n_ranks)
-        return control + n_ranks * nbytes * self.cluster.shm_beta
 
     def compute(self, rank: int, n_ranks: int, seconds: float) -> float:
         """Charge compute time including intra-node contention."""

@@ -44,7 +44,7 @@ from repro.obs.tracer import NULL_SPAN, Tracer
 from repro.parallel.dataflow import dataflow_stage_one
 from repro.parallel.schedule import StageOneState, row_barrier_stage_one
 from repro.perf.model import WorkModel
-from repro.runtime.context import ExecutionContext, sanitize_communicator, shared_memo
+from repro.runtime.context import ExecutionContext, sanitize_communicator
 from repro.runtime.registry import SYNC_MODES
 from repro.scheduling.partition import PARTITIONERS, Partition
 from repro.scheduling.workload import column_weights
@@ -105,7 +105,7 @@ def prna_rank(
     validate: bool = False,
     instrumentation: Instrumentation | None = None,
     tracer: Tracer | None = None,
-    shared_memory: bool | None = None,
+    shared_memory: bool = False,
     sanitize: bool = False,
     sanitize_timeout: float = 30.0,
     out: DenseMemoTable | None = None,
@@ -120,13 +120,9 @@ def prna_rank(
         tabulates all its owned columns of an outer arc in one batch —
         the column partition *is* the batch definition.
     shared_memory:
-        ``None`` (default) backs the memo table with communicator-shared
-        memory whenever the backend supports zero-copy reductions (the
-        process backend), so each row ``Allreduce(MAX)`` reduces in place
-        across per-rank shared segments instead of pickling rows through
-        pipes.  ``True`` requires such a backend
-        (:class:`~repro.errors.CommunicatorError` otherwise); ``False``
-        forces the plain (pickling) path.
+        Retained for callers that still pass ``Plan.shared_memory``; only
+        ``False`` is accepted (:class:`ValueError` otherwise).  Row
+        synchronization always reduces over the communicator.
     sync_mode:
         ``"row"`` is the paper's algorithm.  ``"pair"`` synchronizes after
         every slice (correct but chatty — the granularity ablation).
@@ -164,13 +160,17 @@ def prna_rank(
     out:
         A zeroed ``(max(n, 1), max(m, 1))`` table that receives rank 0's
         final memo, typically :meth:`ExecutionContext.result_memo` shared
-        by every rank of the launch.  Rank 0 tabulates into it directly
-        (or, when its table must be a shared-reduction segment, copies
-        into it once at the end), and every rank returns ``memo=None`` so
-        no table travels back with the result.
+        by every rank of the launch.  Rank 0 tabulates into it directly,
+        and every rank returns ``memo=None`` so no table travels back with
+        the result.
     """
     if sync_mode not in SYNC_MODES:
         raise ValueError(f"unknown sync_mode {sync_mode!r}; one of {SYNC_MODES}")
+    if shared_memory:
+        raise ValueError(
+            "shared_memory=True is no longer supported: memo rows "
+            "synchronize over the communicator"
+        )
     if sanitize:
         comm = sanitize_communicator(
             comm, timeout=sanitize_timeout, tracer=tracer
@@ -226,23 +226,7 @@ def prna_rank(
     weights = column_weights(s1, s2)
     partition = build(weights, comm.size)
     owned = partition.tasks_of(comm.rank)
-    if shared_memory is None:
-        # Dataflow stage one performs no reductions, so shared segments
-        # buy nothing; default them off (forcing True still works — the
-        # per-rank segments are private outside collectives).
-        use_shm = comm.supports_shared_reduction and sync_mode != "dataflow"
-    else:
-        use_shm = bool(shared_memory)
-        if use_shm and not comm.supports_shared_reduction:
-            raise CommunicatorError(
-                "shared_memory=True requires a backend with shared-memory "
-                f"reductions; {type(comm).__name__} has none"
-            )
-    if use_shm:
-        # Collective: every rank allocates its own segment and attaches
-        # the peers'.  Row views of this table make Allreduce zero-copy.
-        memo = shared_memo(comm, n, m)
-    elif out is not None and comm.rank == 0:
+    if out is not None and comm.rank == 0:
         memo = out
     else:
         memo = DenseMemoTable(n, m)
@@ -359,8 +343,6 @@ def prna_rank(
     finally:
         if stage_ctx is not None:
             stage_ctx.__exit__(None, None, None)
-    if out is not None and comm.rank == 0 and use_shm:
-        np.copyto(out.values, values)
 
     return PRNAResult(
         score=score,
@@ -389,7 +371,6 @@ def prna(
     validate: bool = False,
     tracer: Tracer | None = None,
     collect_stats: bool = False,
-    shared_memory: bool | None = None,
     sanitize: bool = False,
     sanitize_timeout: float = 30.0,
 ) -> PRNAResult:
@@ -398,9 +379,6 @@ def prna(
     ``backend`` is ``"thread"``, ``"process"`` or ``"self"`` (the latter
     requires ``n_ranks == 1``).  When *cost_model* is given, virtual clocks
     are enabled and the returned result carries the simulated time.
-    ``shared_memory`` follows :func:`prna_rank`: by default the process
-    backend reduces memo rows through shared memory (zero pickled bytes);
-    pass ``False`` to force the pipe/queue path.
 
     With *tracer* (thread/self backends only — process ranks cannot share
     an in-memory tracer), every rank records its timeline on its own
@@ -426,8 +404,8 @@ def prna(
             comm, s1, s2,
             partitioner=partitioner, engine=engine, sync_mode=sync_mode,
             charge=charge, work_model=work_model, validate=validate,
-            tracer=tracer, shared_memory=shared_memory,
-            sanitize=sanitize, sanitize_timeout=sanitize_timeout, out=out,
+            tracer=tracer, sanitize=sanitize,
+            sanitize_timeout=sanitize_timeout, out=out,
         )
 
     results = context.launch(

@@ -11,8 +11,8 @@ would use -- and charges:
   (paper-calibrated by default), inflated by the cluster's intra-node
   memory-contention factor under round-robin rank placement;
 * under the barrier schedules, every row at its slowest rank plus one
-  ``Allreduce`` of the ``m``-element memo row per outer iteration (pipe
-  or shared-segment, costed by :class:`~repro.mpi.costmodel.CostModel`);
+  ``Allreduce`` of the ``m``-element memo row per outer iteration (costed
+  by :class:`~repro.mpi.costmodel.CostModel`);
   under the dataflow schedule, which has no per-row barrier, the slowest
   rank's total plus the coalesced point-to-point publications;
 * stage two and preprocessing sequentially on rank 0.
@@ -185,7 +185,7 @@ class PRNASimulator:
 
     def price(
         self, s1: Structure, s2: Structure, n_ranks: int,
-        schedule: str = "row", shared_memory: bool = False,
+        schedule: str = "row",
     ) -> SimulationReport:
         """The PRNA cost model: per-stage terms of one configuration.
 
@@ -193,8 +193,7 @@ class PRNASimulator:
         (``row``, ``pair``) finish every row together, so their compute
         term sums the per-row rank maximum; the barrier-free schedules
         (``dataflow``, ``deferred``) only wait for the slowest rank's
-        total.  *shared_memory* prices the collectives as zero-copy
-        shared-segment reductions.  Unlike :meth:`simulate` this never
+        total.  Unlike :meth:`simulate` this never
         rejects a world size above the cluster's cores: such ranks are
         priced through its contention factor, as the runtime planner needs.
         """
@@ -257,9 +256,7 @@ class PRNASimulator:
             compute_seconds = float(costs.max(axis=1).sum())
         else:
             compute_seconds = float(costs.sum(axis=0).max())
-        comm_seconds = self._comm_seconds(
-            s1, s2, n_ranks, schedule, shared_memory
-        )
+        comm_seconds = self._comm_seconds(s1, s2, n_ranks, schedule)
         stage_one = compute_seconds + comm_seconds
         # Stage two runs on rank 0 alone (no contention); the final score
         # broadcast is one more collective.
@@ -282,8 +279,7 @@ class PRNASimulator:
         )
 
     def _comm_seconds(
-        self, s1: Structure, s2: Structure, n_ranks: int, schedule: str,
-        shared_memory: bool,
+        self, s1: Structure, s2: Structure, n_ranks: int, schedule: str
     ) -> float:
         """Stage-one communication on the critical path of *schedule*.
 
@@ -321,10 +317,6 @@ class PRNASimulator:
             )
         collectives = s1.n_arcs * (s2.n_arcs if schedule == "pair" else 1)
         row_bytes = max(s2.length, 1) * self.dtype_bytes
-        if shared_memory:
-            return self.cluster.shm_setup + collectives * (
-                self.cost_model.shm_allreduce(n_ranks, row_bytes)
-            )
         return collectives * self.cost_model.allreduce(
             n_ranks, row_bytes, self.allreduce_algorithm
         )

@@ -9,11 +9,9 @@ Two fits live here:
 * :func:`calibrate_cluster_spec` — a :class:`~repro.mpi.costmodel
   .ClusterSpec` fitted from **measured on-node microbenchmarks** over the
   real process backend (pipe ping-pong for ``alpha``/``beta``, small
-  collectives for ``sync_overhead``, shared-segment reductions for
-  ``shm_beta``/``shm_setup``).  The planner prices the row-barrier vs
-  dataflow schedules and the shared-memory crossover with these numbers
-  instead of the paper's Fundy constants, and cites the source in
-  ``plan.explain()``.
+  collectives for ``sync_overhead``).  The planner prices the row-barrier
+  vs dataflow schedules with these numbers instead of the paper's Fundy
+  constants, and cites the source in ``plan.explain()``.
 
 ``python -m repro.perf.calibrate`` (wired as ``make calibrate``) runs both
 fits and writes ``CALIBRATION.json``; :func:`load_calibration` is the
@@ -102,7 +100,6 @@ def calibrate_work_model(
 _PINGS = 32
 _SYNC_ROUNDS = 32
 _BIG_BYTES = 1 << 20
-_SHM_CELLS = 256
 
 
 def _probe_rank(comm):
@@ -144,18 +141,6 @@ def _probe_rank(comm):
         return (time.perf_counter() - start) / _SYNC_ROUNDS
 
     out["allreduce_small"] = allreduce_loop(small)
-
-    from repro.runtime.context import shared_memo
-
-    start = time.perf_counter()
-    memo_small = shared_memo(comm, _SHM_CELLS, 1)
-    setup_small = time.perf_counter() - start
-    start = time.perf_counter()
-    memo_big = shared_memo(comm, _BIG_BYTES // 8, 1)
-    setup_big = time.perf_counter() - start
-    out["shm_setup"] = (setup_small + setup_big) / 2
-    out["shm_allreduce_small"] = allreduce_loop(memo_small.values)
-    out["shm_allreduce_big"] = allreduce_loop(memo_big.values)
     return out
 
 
@@ -169,9 +154,7 @@ def calibrate_cluster_spec() -> ClusterSpec:
     * ``beta`` — marginal per-byte cost of a 1 MiB pipe transfer (pickle
       included, because the pipe path pays it);
     * ``sync_overhead`` — small-buffer ``Allreduce`` per-call cost beyond
-      its one latency round;
-    * ``shm_setup`` / ``shm_beta`` — shared-segment group establishment
-      and the marginal per-byte cost of the in-place reduction sweep.
+      its one latency round.
 
     The ``contention`` coefficient is *not* measured: disentangling
     memory-bus contention from scheduler contention needs more cores than
@@ -186,9 +169,6 @@ def calibrate_cluster_spec() -> ClusterSpec:
     alpha = max(probe["rtt_small"] / 2, 1e-9)
     beta = max((probe["rtt_big"] / 2 - alpha) / _BIG_BYTES, 1e-12)
     sync_overhead = max(probe["allreduce_small"] - alpha, 1e-9)
-    shm_setup = max(probe["shm_setup"], 0.0)
-    sweep_delta = probe["shm_allreduce_big"] - probe["shm_allreduce_small"]
-    shm_beta = max(sweep_delta / (2 * (_BIG_BYTES - _SHM_CELLS * 8)), 1e-13)
     return ClusterSpec(
         cores_per_node=max(os.cpu_count() or 1, 1),
         n_nodes=1,
@@ -196,8 +176,6 @@ def calibrate_cluster_spec() -> ClusterSpec:
         beta=beta,
         sync_overhead=sync_overhead,
         contention=0.05,
-        shm_beta=shm_beta,
-        shm_setup=shm_setup,
     )
 
 
@@ -306,10 +284,6 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"  alpha={cluster.alpha:.3g} s  beta={cluster.beta:.3g} s/B  "
         f"sync_overhead={cluster.sync_overhead:.3g} s"
-    )
-    print(
-        f"  shm_setup={cluster.shm_setup:.3g} s  "
-        f"shm_beta={cluster.shm_beta:.3g} s/B"
     )
     if work_model is not None:
         print(

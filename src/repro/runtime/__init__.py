@@ -6,14 +6,14 @@ the experiment harness) routes through three layers defined here:
 * **Layer 1 — planning** (:mod:`repro.runtime.plan`): a :class:`Planner`
   turns two structures (or a query + target collection) plus
   :class:`ResourceHints` into an explainable :class:`Plan` — which
-  algorithm, slice engine, backend, world size, partition strategy and
-  shared-memory/sanitizer settings to run — using the calibrated work
+  algorithm, slice engine, backend, world size, partition strategy,
+  schedule and sanitizer setting to run — using the calibrated work
   model (:mod:`repro.perf.model`) and the cluster cost model
   (:mod:`repro.mpi.costmodel`).
 * **Layer 2 — execution context** (:mod:`repro.runtime.context`): the
   single place that constructs and owns communicators (including
-  sanitizer wrapping), tracers, metrics registries, shared-memory memo
-  tables and checkpoint stores.  Rule ARCH001 of :mod:`repro.check`
+  sanitizer wrapping), tracers, metrics registries, the shared result
+  table and checkpoint stores.  Rule ARCH001 of :mod:`repro.check`
   enforces that nothing else in the tree constructs these directly.
 * **Layer 3 — solving** (:mod:`repro.runtime.solver`): the
   :class:`Solver` facade — ``solve(s1, s2)`` and ``solve_batch(query,

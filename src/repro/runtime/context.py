@@ -5,8 +5,8 @@ constructs and owns the run-scoped machinery every entry point used to
 wire by hand: the communicator world (``self``/``thread``/``process``
 backends), the :class:`~repro.check.sanitizer.SanitizedCommunicator`
 wrapper, the :class:`~repro.obs.tracer.Tracer`, the
-:class:`~repro.obs.metrics.MetricsRegistry`, shared-memory memo
-allocation, the parent-owned result table, checkpoint settings and the
+:class:`~repro.obs.metrics.MetricsRegistry`, the parent-owned result
+table, checkpoint settings and the
 :mod:`repro.obs` run-record log.
 
 Rule ``ARCH001`` of :mod:`repro.check` enforces the ownership: direct
@@ -39,13 +39,12 @@ from repro.runtime.plan import Plan
 __all__ = [
     "ExecutionContext",
     "sanitize_communicator",
-    "shared_memo",
 ]
 
 #: The sanctioned raw-construction table (see module docstring): every
-#: direct communicator/tracer/shm-memo construction in the tree lives in
-#: this one suppressed line, and the helpers below are the only callers.
-_RAW: dict[str, Callable[..., Any]] = dict(tracer=lambda: Tracer(), sanitize=lambda comm, timeout, tracer: SanitizedCommunicator(comm, timeout=timeout, tracer=tracer), self_comm=lambda clock, cost_model: SelfCommunicator(clock, cost_model), shm_memo=lambda comm, shape: DenseMemoTable.wrap(comm.allocate_shared(shape, np.int64)), result_memo=lambda shape: DenseMemoTable.wrap(np.frombuffer(mmap.mmap(-1, shape[0] * shape[1] * 8), dtype=np.int64).reshape(shape)), threaded=lambda *a, **k: run_threaded(*a, **k), multiprocess=lambda *a, **k: run_multiprocess(*a, **k))  # noqa: ARCH001
+#: direct communicator/tracer/result-table construction in the tree lives
+#: in this one suppressed line, and the helpers below are the only callers.
+_RAW: dict[str, Callable[..., Any]] = dict(tracer=lambda: Tracer(), sanitize=lambda comm, timeout, tracer: SanitizedCommunicator(comm, timeout=timeout, tracer=tracer), self_comm=lambda clock, cost_model: SelfCommunicator(clock, cost_model), result_memo=lambda shape: DenseMemoTable.wrap(np.frombuffer(mmap.mmap(-1, shape[0] * shape[1] * 8), dtype=np.int64).reshape(shape)), threaded=lambda *a, **k: run_threaded(*a, **k), multiprocess=lambda *a, **k: run_multiprocess(*a, **k))  # noqa: ARCH001
 
 
 def sanitize_communicator(
@@ -58,16 +57,6 @@ def sanitize_communicator(
     if isinstance(comm, SanitizedCommunicator):
         return comm
     return _RAW["sanitize"](comm, timeout, tracer)
-
-
-def shared_memo(comm: Communicator, n: int, m: int) -> DenseMemoTable:
-    """Collectively allocate the communicator-shared ``(n, m)`` memo table.
-
-    Every rank must call this (the allocation is a collective); row views
-    of the returned table make ``Allreduce(MAX)`` zero-copy on backends
-    with shared-memory reductions.
-    """
-    return _RAW["shm_memo"](comm, (max(n, 1), max(m, 1)))
 
 
 class ExecutionContext:

@@ -43,10 +43,7 @@ def main() -> int:
     model = PRNASimulator(
         cluster=cluster, work_model=planner._work_model(),
         partitioner=worst.partitioner,
-    ).price(
-        large, large, worst.n_ranks,
-        schedule=worst.sync_mode, shared_memory=bool(worst.shared_memory),
-    )
+    ).price(large, large, worst.n_ranks, schedule=worst.sync_mode)
     if worst.estimated_seconds != model.total_seconds:
         print(
             f"FAIL: plan estimate {worst.estimated_seconds!r} s is not the "

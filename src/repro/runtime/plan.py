@@ -1,8 +1,8 @@
 """Layer 1 of the solver stack: plans and the planner.
 
 A :class:`Plan` is a fully resolved, explainable execution decision:
-which algorithm, slice engine, backend, world size, partition strategy and
-shared-memory/sanitizer settings a solve should run with.  A
+which algorithm, slice engine, backend, world size, partition strategy,
+stage-one schedule and sanitizer setting a solve should run with.  A
 :class:`Planner` produces plans from two structures (or a query + target
 collection) plus :class:`ResourceHints`, using the calibrated work model
 (:mod:`repro.perf.model` — replaceable with a host fit from
@@ -17,8 +17,7 @@ the simulator's per-stage model
 (:meth:`repro.parallel.simulator.PRNASimulator.price`) over the real
 column partition: ``sync_mode="auto"`` compares the row barrier (per-row
 slowest rank plus one collective per arc) against the dataflow schedule
-(slowest rank's total plus point-to-point publication traffic), and
-``shared_memory=None`` resolves through the shm-vs-pipe crossover — all
+(slowest rank's total plus point-to-point publication traffic), both
 with a latency/bandwidth spec preferring the measured on-node calibration
 (:func:`repro.perf.calibrate.calibrate_cluster_spec`, ``make calibrate``)
 over built-in defaults, never the paper's Fundy constants.  Dynamic
@@ -55,8 +54,8 @@ from repro.structure.arcs import Structure
 if TYPE_CHECKING:
     from repro.parallel.simulator import SimulationReport
 
-#: ``price(n_ranks, sync_mode, shared_memory)`` for one plan's pair.
-Pricer = Callable[[int, str, bool], "SimulationReport"]
+#: ``price(n_ranks, sync_mode)`` for one plan's pair.
+Pricer = Callable[[int, str], "SimulationReport"]
 
 __all__ = [
     "PARALLEL_THRESHOLD_SECONDS",
@@ -88,8 +87,6 @@ def local_cluster(cores: int) -> ClusterSpec:
         beta=2.0e-10,
         sync_overhead=2.0e-5,
         contention=0.05,
-        shm_beta=1.0e-10,
-        shm_setup=5.0e-2,
     )
 
 
@@ -147,7 +144,6 @@ class Plan:
     n_ranks: int
     partitioner: str = "greedy"
     sync_mode: str = "row"
-    shared_memory: bool | None = None
     sanitize: bool = False
     checkpoint_path: str | None = None
     workload: str = "pair"  # "pair" (one comparison) or "search" (batch)
@@ -168,6 +164,15 @@ class Plan:
         lines = [header]
         lines.extend(f"  - {reason}" for reason in self.rationale)
         return "\n".join(lines)
+
+    @property
+    def shared_memory(self) -> bool:
+        """Always ``False``: memo rows synchronize over the communicator.
+
+        Kept only for callers that still forward it to
+        :func:`repro.parallel.prna.prna_rank`.
+        """
+        return False
 
     def cost_contract(self):
         """The registry :class:`CostContract` of the chosen engine, if any."""
@@ -247,7 +252,7 @@ class Planner:
 
     @staticmethod
     def _schedule(
-        price: Pricer, n_ranks: int, sync_mode: str, shm: bool
+        price: Pricer, n_ranks: int, sync_mode: str
     ) -> tuple[str, SimulationReport]:
         """The stage-one schedule *sync_mode* resolves to, with its price.
 
@@ -256,7 +261,7 @@ class Planner:
         """
         modes = ("row", "dataflow") if sync_mode == AUTO else (sync_mode,)
         return min(
-            ((mode, price(n_ranks, mode, shm)) for mode in modes),
+            ((mode, price(n_ranks, mode)) for mode in modes),
             key=lambda priced: priced[1].total_seconds,
         )
 
@@ -282,7 +287,6 @@ class Planner:
         n_ranks: int | None = None,
         partitioner: str = "greedy",
         sync_mode: str = AUTO,
-        shared_memory: bool | None = None,
         sanitize: bool = False,
         checkpoint_path: str | None = None,
         with_backtrace: bool = False,
@@ -304,14 +308,13 @@ class Planner:
         wm = self._work_model()
         cluster, cluster_source = self._resolve_cluster(max_ranks)
         # Every PRNA price below is this pair's simulator model, memoized
-        # per (n_ranks, sync_mode, shared_memory).
+        # per (n_ranks, sync_mode).
         simulator = PRNASimulator(
             cluster=cluster, work_model=wm, partitioner=partitioner
         )
         price: Pricer = functools.lru_cache(maxsize=None)(
             functools.partial(simulator.price, s1, s2)
         )
-        shm = bool(shared_memory)
         sequential = wm.total_sequential_seconds(s1, s2)
         rationale: list[str] = [
             f"modeled sequential SRNA2 time {sequential:.3g} s "
@@ -331,7 +334,7 @@ class Planner:
         if algorithm == AUTO:
             algorithm, chosen_ranks = self._choose_algorithm(
                 sequential, max_ranks, price, n_ranks,
-                with_backtrace, rationale, sync_mode=sync_mode, shm=shm,
+                with_backtrace, rationale, sync_mode=sync_mode,
             )
         else:
             rationale.append(f"algorithm {algorithm!r} requested by caller")
@@ -339,7 +342,7 @@ class Planner:
             if chosen_ranks is None:
                 chosen_ranks = self._choose_ranks(
                     sequential, max_ranks, price, rationale,
-                    sync_mode=sync_mode, shm=shm,
+                    sync_mode=sync_mode,
                 )
         else:
             chosen_ranks = 1
@@ -351,15 +354,10 @@ class Planner:
         if sync_mode == AUTO:
             if algorithm == "prna":
                 sync_mode = self._choose_sync_mode(
-                    s1, chosen_ranks, price, shm, cluster_source, rationale
+                    s1, chosen_ranks, price, cluster_source, rationale
                 )
             else:
                 sync_mode = "row"
-        if shared_memory is None and algorithm == "prna":
-            shared_memory = self._choose_shared_memory(
-                s1, chosen_ranks, resolved_backend, sync_mode, cluster,
-                price, rationale,
-            )
         self._note_memory(s1, s2, chosen_ranks, resolved_backend, rationale)
         if sanitize:
             rationale.append(
@@ -371,7 +369,7 @@ class Planner:
         # Only PRNA is priced per configuration; every other algorithm
         # carries the sequential model.
         if algorithm == "prna":
-            report = price(chosen_ranks, sync_mode, bool(shared_memory))
+            report = price(chosen_ranks, sync_mode)
             estimated, predicted = report.total_seconds, report.stages()
         else:
             estimated, predicted = sequential, dict(zip(STAGE_TERMS, (
@@ -386,7 +384,6 @@ class Planner:
             n_ranks=chosen_ranks,
             partitioner=partitioner,
             sync_mode=sync_mode,
-            shared_memory=shared_memory,
             sanitize=sanitize,
             checkpoint_path=checkpoint_path,
             workload="pair",
@@ -406,7 +403,6 @@ class Planner:
         with_backtrace: bool,
         rationale: list[str],
         sync_mode: str = AUTO,
-        shm: bool = False,
     ) -> tuple[str, int | None]:
         if with_backtrace:
             rationale.append(
@@ -436,11 +432,11 @@ class Planner:
             return "managerworker", n_ranks
         ranks = self._choose_ranks(
             sequential, max_ranks, price, rationale, requested=n_ranks,
-            sync_mode=sync_mode, shm=shm,
+            sync_mode=sync_mode,
         )
         rationale.append(
             f"exceeds the {self.threshold_seconds:g} s threshold -> prna "
-            "(static greedy column partition, one Allreduce per memo row)"
+            "(static column partition across ranks)"
         )
         return "prna", ranks
 
@@ -452,10 +448,9 @@ class Planner:
         rationale: list[str],
         requested: int | None = None,
         sync_mode: str = AUTO,
-        shm: bool = False,
     ) -> int:
         if requested is not None:
-            _, report = self._schedule(price, requested, sync_mode, shm)
+            _, report = self._schedule(price, requested, sync_mode)
             rationale.append(
                 f"world size {requested} requested by caller "
                 f"(modeled {report.total_seconds:.3g} s)"
@@ -463,7 +458,7 @@ class Planner:
             return requested
         best_ranks, best_seconds = 1, sequential
         for ranks in self._candidate_ranks(max_ranks):
-            _, report = self._schedule(price, ranks, sync_mode, shm)
+            _, report = self._schedule(price, ranks, sync_mode)
             if report.total_seconds < best_seconds:
                 best_ranks, best_seconds = ranks, report.total_seconds
         speedup = sequential / best_seconds if best_seconds > 0 else 1.0
@@ -527,8 +522,8 @@ class Planner:
             return "thread"
         if os.name == "posix":
             rationale.append(
-                "backend auto -> 'process' (true parallelism; zero-copy "
-                "shared-memory row reductions)"
+                "backend auto -> 'process' (true parallelism: one OS "
+                "process per rank)"
             )
             return "process"
         rationale.append("backend auto -> 'thread' (no POSIX fork here)")
@@ -539,7 +534,6 @@ class Planner:
         s1: Structure,
         n_ranks: int,
         price: Pricer,
-        shm: bool,
         cluster_source: str,
         rationale: list[str],
     ) -> str:
@@ -558,9 +552,9 @@ class Planner:
                 "cells to synchronize)"
             )
             return "row"
-        mode, _ = self._schedule(price, n_ranks, AUTO, shm)
-        row = price(n_ranks, "row", shm)
-        dataflow = price(n_ranks, "dataflow", shm)
+        mode, _ = self._schedule(price, n_ranks, AUTO)
+        row = price(n_ranks, "row")
+        dataflow = price(n_ranks, "dataflow")
         rationale.append(
             f"sync auto -> {mode!r}: modeled stage one — row barrier "
             f"{row.stage_one_seconds:.3g} s ({row.comm_seconds:.3g} s in "
@@ -570,45 +564,6 @@ class Planner:
             f"{cluster_source}"
         )
         return mode
-
-    def _choose_shared_memory(
-        self,
-        s1: Structure,
-        n_ranks: int,
-        backend: str,
-        sync_mode: str,
-        cluster: ClusterSpec,
-        price: Pricer,
-        rationale: list[str],
-    ) -> bool | None:
-        """Resolve ``shared_memory=None`` via the shm-vs-pipe crossover.
-
-        Only the process backend has the zero-copy shared-segment path,
-        and only the collective schedules reduce rows at all; everywhere
-        else the driver default stands.  For row reductions, shared
-        memory trades per-byte pickling for three control rounds per call
-        plus a one-time segment setup — cheaper only above a
-        cost-model-priced problem size (the measured small-``n``
-        regression: shm 0.30 s vs pipe 0.22 s at n=160).
-        """
-        if backend != "process" or n_ranks <= 1:
-            return None
-        if sync_mode == "dataflow":
-            rationale.append(
-                "shared memory off: the dataflow schedule publishes row "
-                "segments point-to-point — no collective row reduction "
-                "to accelerate"
-            )
-            return False
-        pipe_s = price(n_ranks, sync_mode, False).comm_seconds
-        shm_s = price(n_ranks, sync_mode, True).comm_seconds
-        use = shm_s < pipe_s
-        rationale.append(
-            f"shared-memory rows {'on' if use else 'off'}: {s1.n_arcs} row "
-            f"reductions modeled shm {shm_s:.3g} s (incl. "
-            f"{cluster.shm_setup:.3g} s setup) vs pipe {pipe_s:.3g} s"
-        )
-        return use
 
     def _note_memory(
         self,

@@ -177,7 +177,6 @@ class Solver:
         n_ranks: int | None = None,
         partitioner: str = "greedy",
         sync_mode: str = AUTO,
-        shared_memory: bool | None = None,
         sanitize: bool = False,
         sanitize_timeout: float = 30.0,
         checkpoint_path: str | None = None,
@@ -213,8 +212,7 @@ class Solver:
                 s1, s2,
                 algorithm=algorithm, engine=engine, backend=backend,
                 n_ranks=n_ranks, partitioner=partitioner,
-                sync_mode=sync_mode, shared_memory=shared_memory,
-                sanitize=sanitize,
+                sync_mode=sync_mode, sanitize=sanitize,
                 checkpoint_path=checkpoint_path or ctx.checkpoint_path,
                 with_backtrace=with_backtrace,
             )
@@ -298,7 +296,6 @@ class Solver:
                 validate=validate,
                 tracer=ctx.tracer,
                 collect_stats=collect_stats or ctx.collect_stats,
-                shared_memory=plan.shared_memory,
                 sanitize=plan.sanitize or ctx.sanitize,
                 sanitize_timeout=sanitize_timeout,
             )

@@ -101,27 +101,19 @@ class TestDataflowPlan:
             assert plan.n_dependency_edges == plans[0].n_dependency_edges
 
 
-# The ISSUE's acceptance matrix: backend x shared memory x world size,
-# all sanitized.  shared_memory=True needs the process backend.
-MATRIX = [
-    ("thread", 2, None),
-    ("thread", 4, None),
-    ("process", 2, False),
-    ("process", 2, True),
-    ("process", 4, False),
-    ("process", 4, True),
-]
+# The acceptance matrix: backend x world size, all sanitized.
+MATRIX = [("thread", 2), ("thread", 4), ("process", 2), ("process", 4)]
 
 
 class TestDataflowParity:
-    @pytest.mark.parametrize("backend,n_ranks,shm", MATRIX)
-    def test_matrix_bit_identical_to_srna2(self, backend, n_ranks, shm):
+    @pytest.mark.parametrize("backend,n_ranks", MATRIX)
+    def test_matrix_bit_identical_to_srna2(self, backend, n_ranks):
         s1 = rna_like_structure(60, 14, seed=3)
         s2 = rna_like_structure(56, 12, seed=4)
         reference = srna2(s1, s2)
         result = prna(
             s1, s2, n_ranks, backend=backend, sync_mode="dataflow",
-            shared_memory=shm, validate=True, sanitize=True,
+            validate=True, sanitize=True,
         )
         assert result.score == reference.score
         assert np.array_equal(result.memo.values, reference.memo.values)

@@ -6,7 +6,7 @@ The drivers (``prna``, ``manager_worker`` and both parallel branches of
 returns ``memo=None``.  These tests pin the mechanism (the returned memo
 is backed by that anonymous mapping, the per-rank results are small) and
 the parity bar (bit-identical to SRNA2) across the process-backend
-schedule × shm × sanitize matrix.
+schedule × sanitize matrix.
 """
 
 import mmap
@@ -25,9 +25,8 @@ from repro.runtime.solver import solve
 from repro.structure.arcs import Structure
 from repro.structure.generators import contrived_worst_case, rna_like_structure
 
-#: (sync_mode, shared_memory) — the row schedule with and without shm
-#: segments, and the dataflow schedule (shm off by default).
-SCHEDULES = [("row", None), ("row", False), ("dataflow", None)]
+#: The two production stage-one schedules.
+SCHEDULES = ["row", "dataflow"]
 
 
 def _mapped(values: np.ndarray) -> bool:
@@ -61,12 +60,12 @@ def pair():
 
 class TestPrnaDriver:
     @pytest.mark.parametrize("sanitize", [False, True])
-    @pytest.mark.parametrize(("sync_mode", "shared_memory"), SCHEDULES)
-    def test_process_matrix(self, pair, sync_mode, shared_memory, sanitize):
+    @pytest.mark.parametrize("sync_mode", SCHEDULES)
+    def test_process_matrix(self, pair, sync_mode, sanitize):
         s1, s2, ref = pair
         result = prna(
             s1, s2, 2, backend="process", sync_mode=sync_mode,
-            shared_memory=shared_memory, sanitize=sanitize,
+            sanitize=sanitize,
         )
         assert result.score == ref.score
         assert np.array_equal(result.memo.values, ref.memo.values)
@@ -100,16 +99,13 @@ class TestPrnaDriver:
 
 
 class TestRankResults:
-    @pytest.mark.parametrize(("sync_mode", "shared_memory"), SCHEDULES)
-    def test_ranks_return_no_table(self, pair, sync_mode, shared_memory):
+    @pytest.mark.parametrize("sync_mode", SCHEDULES)
+    def test_ranks_return_no_table(self, pair, sync_mode):
         s1, s2, ref = pair
         context = ExecutionContext()
         out = context.result_memo(s1.length, s2.length)
         results = context.launch(
-            lambda comm: prna_rank(
-                comm, s1, s2, sync_mode=sync_mode,
-                shared_memory=shared_memory, out=out,
-            ),
+            lambda comm: prna_rank(comm, s1, s2, sync_mode=sync_mode, out=out),
             n_ranks=2, backend="process",
         )
         table_bytes = s1.length * s2.length * 8

@@ -1,5 +1,7 @@
 """Host calibration of the work model."""
 
+import json
+
 import pytest
 
 from repro.perf.calibrate import calibrate_work_model
@@ -47,8 +49,7 @@ class TestCalibrationRecord:
 
         return ClusterSpec(
             cores_per_node=2, n_nodes=1, alpha=3e-6, beta=2e-10,
-            sync_overhead=9e-6, contention=0.05, shm_beta=4e-11,
-            shm_setup=1.5e-3,
+            sync_overhead=9e-6, contention=0.05,
         )
 
     def test_round_trip(self, tmp_path):
@@ -58,6 +59,31 @@ class TestCalibrationRecord:
         written = save_calibration(self._spec(), path=path)
         assert written == path
         assert load_calibration(path) == self._spec()
+
+    def test_record_with_retired_shm_terms_still_loads(self, tmp_path):
+        # Records written before the shared-segment reduction was removed
+        # carry shm_beta / shm_setup; the remaining fields load unchanged.
+        from repro.perf.calibrate import (
+            load_calibrated_work_model,
+            load_calibration,
+        )
+
+        record = {
+            "cluster": {
+                "alpha": 3e-6, "beta": 2e-10, "contention": 0.05,
+                "cores_per_node": 2, "n_nodes": 1, "shm_beta": 4e-11,
+                "shm_setup": 1.5e-3, "sync_overhead": 9e-6,
+            },
+            "work_model": {
+                "seconds_per_cell": 2e-8, "seconds_per_slice": 1e-6,
+            },
+        }
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        assert load_calibration(str(path)) == self._spec()
+        assert load_calibrated_work_model(str(path)) == WorkModel(
+            seconds_per_cell=2e-8, seconds_per_slice=1e-6
+        )
 
     def test_work_model_round_trip(self, tmp_path):
         from repro.perf.calibrate import (

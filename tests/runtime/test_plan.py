@@ -231,35 +231,19 @@ class TestScheduleChoice:
         )
         assert plan.sync_mode == "row"
 
-    def test_dataflow_turns_shared_memory_off(self, planner, large):
-        plan = planner.plan(
-            large, large, algorithm="prna", n_ranks=4,
-            backend="process", sync_mode="dataflow",
+    def test_dataflow_explanation_names_no_row_reduction(self, large):
+        # The n=400 worst case at P=2: the planner's own algorithm and
+        # backend lines must describe the schedule actually chosen.
+        plan = Planner(ResourceHints(max_ranks=2)).plan(
+            large, large, sync_mode="dataflow"
         )
+        assert (plan.algorithm, plan.n_ranks) == ("prna", 2)
+        assert (plan.backend, plan.sync_mode) == ("process", "dataflow")
+        text = plan.explain()
+        assert "-> prna" in text and "backend auto -> 'process'" in text
+        assert "Allreduce per memo row" not in text
+        assert "shared-memory" not in text
         assert plan.shared_memory is False
-        assert any(
-            "shared memory off" in r and "point-to-point" in r
-            for r in plan.rationale
-        )
-
-    def test_row_mode_prices_the_shm_crossover(self, planner, large):
-        plan = planner.plan(
-            large, large, algorithm="prna", n_ranks=4,
-            backend="process", sync_mode="row",
-        )
-        assert isinstance(plan.shared_memory, bool)
-        assert any(
-            r.startswith("shared-memory rows") and "vs pipe" in r
-            for r in plan.rationale
-        )
-
-    def test_caller_shared_memory_respected(self, planner, large):
-        plan = planner.plan(
-            large, large, algorithm="prna", n_ranks=4,
-            backend="process", sync_mode="row", shared_memory=False,
-        )
-        assert plan.shared_memory is False
-        assert not any(r.startswith("shared-memory rows") for r in plan.rationale)
 
 
 class TestCalibrationSource:

@@ -23,10 +23,7 @@ def _model(cluster, plan, s1, s2):
     return PRNASimulator(
         cluster=cluster, work_model=WorkModel.default(),
         partitioner=plan.partitioner,
-    ).price(
-        s1, s2, plan.n_ranks,
-        schedule=plan.sync_mode, shared_memory=bool(plan.shared_memory),
-    )
+    ).price(s1, s2, plan.n_ranks, schedule=plan.sync_mode)
 
 
 @pytest.mark.parametrize("sync_mode", ["row", "dataflow"])

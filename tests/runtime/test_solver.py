@@ -38,14 +38,11 @@ class TestAutoParity:
         assert np.array_equal(result.memo.values, reference.memo.values)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    @pytest.mark.parametrize("shared_memory", [None, False])
     @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_backend_shm_matrix(self, backend, shared_memory, seed):
+    def test_backend_matrix(self, backend, seed):
         s1, s2 = make_random_pair(seed)
         result = solve(
-            s1, s2,
-            algorithm="prna", n_ranks=2, backend=backend,
-            shared_memory=shared_memory,
+            s1, s2, algorithm="prna", n_ranks=2, backend=backend
         )
         reference = srna2(s1, s2)
         assert result.score == reference.score
