@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-suite-test bench-quick bench-smoke bench-dataflow calibrate experiments verify trace-demo sanitize-demo plan-demo lint check-protocol check-dataflow examples coverage clean
+.PHONY: install test bench bench-suite-test bench-quick bench-smoke bench-dataflow calibrate experiments verify trace-demo sanitize-demo plan-demo lint check-bench examples coverage clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -52,7 +52,9 @@ experiments:
 	$(PYTHON) -m repro.experiments all --scale quick --json results.json
 
 # Static analysis: ruff + mypy when installed (pip install -e '.[lint]'),
-# plus the in-tree SPMD checker, which has no dependencies and always runs.
+# plus the in-tree SPMD checker, which has no dependencies and always runs
+# in full: per-module rules, protocol verifier and numeric dataflow
+# verifier must prove the shipped tree clean (exit 0).
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests; \
@@ -62,18 +64,10 @@ lint:
 	else echo "lint: mypy not installed, skipping (pip install -e '.[lint]')"; fi
 	PYTHONPATH=src $(PYTHON) -m repro.check src/repro
 
-# Interprocedural protocol verification: the rank-symbolic schedule
-# analysis must prove the shipped tree deadlock-free (exit 0).
-check-protocol:
-	PYTHONPATH=src $(PYTHON) -m repro.check src/repro --protocol
-
-# Numeric dataflow verification: interval/shape/dtype abstract
-# interpretation plus the cost-contract audit must prove the shipped
-# tree clean (exit 0), and the cold/warm analyzer timing for both passes
-# lands in BENCH_check.json so incremental-cache regressions are visible
-# (warm must be <10% of cold).
-check-dataflow:
-	PYTHONPATH=src $(PYTHON) -m repro.check src/repro --protocol --dataflow
+# Analyzer benchmark: the cold/warm wall time of the full checker lands
+# in BENCH_check.json so incremental-cache regressions are visible (warm
+# must be <5% of cold, and must replay the cold findings exactly).
+check-bench:
 	$(PYTHON) benchmarks/bench_check.py
 
 # Runtime-sanitizer transparency check: sanitized 2-rank PRNA on the
@@ -87,7 +81,7 @@ sanitize-demo:
 plan-demo:
 	PYTHONPATH=src $(PYTHON) -m repro.runtime.demo
 
-verify: lint check-protocol check-dataflow trace-demo bench-smoke bench-dataflow calibrate sanitize-demo plan-demo
+verify: lint check-bench trace-demo bench-smoke bench-dataflow calibrate sanitize-demo plan-demo
 	PYTHONPATH=src $(PYTHON) -m repro.experiments verify
 
 # Tiny traced PRNA run: emits a Chrome trace (one track per rank),

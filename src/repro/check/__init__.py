@@ -6,23 +6,25 @@ write its owned columns of the memo between row synchronizations.  Nothing
 in the algorithm itself checks any of this — a rank-conditional collective
 or an out-of-partition write silently deadlocks or corrupts ``M``.
 
-This package verifies the protocol in four complementary layers:
+This package verifies the protocol in four complementary layers.  The
+three static ones run together on every ``python -m repro.check`` /
+``repro-rna check`` (:mod:`repro.check.static`: suppression comments,
+JSON/SARIF output, content-hash incremental caching, a baseline ratchet
+and a nonzero exit code on findings):
 
-* **static, per-module** (:mod:`repro.check.static`,
-  ``python -m repro.check`` or ``repro-rna check``) — an AST linter
-  flagging SPMD hazards with rule IDs ``SPMD001``-``SPMD003``,
-  ``ARCH001`` and the lexical ``DTYPE101`` (formerly ``SPMD004``), with
-  suppression comments, JSON/SARIF output, and a nonzero exit code on
-  findings (MPI-Checker-style collective matching);
-* **static, whole-program** (:mod:`repro.check.protocol`, ``--protocol``)
+* **static, per-module** (:mod:`repro.check.rules`) — an AST linter for
+  the two properties no interprocedural pass covers: writes through
+  wrapped memo handles outside the owned partition (``SPMD003``) and
+  run-scoped machinery built outside the execution context
+  (``ARCH001``);
+* **static, whole-program** (:mod:`repro.check.protocol`)
   — a rank-symbolic interprocedural interpreter that extracts each
   abstract rank's communication schedule and proves collective agreement
   (``SPMD1xx``), cross-module tag matching (``SPMD2xx``), and executor
   dependency-schedule legality against the recurrence's ``d1``/``d2``
-  structure (``SCHED0xx``), with content-hash incremental caching and a
-  baseline ratchet;
+  structure (``SCHED0xx``);
 * **static, numeric** (:mod:`repro.check.dataflow` +
-  :mod:`repro.check.costs`, ``--dataflow``) — interval/shape/dtype
+  :mod:`repro.check.costs`) — interval/shape/dtype
   abstract interpretation of the kernels proving dtype overflows under
   the registry's declared input bounds (``DTYPE1xx``), shape and
   memo-axis incompatibilities (``SHAPE1xx``), and auditing every
@@ -42,19 +44,13 @@ protocol.
 
 from repro.check.findings import RULES, Finding
 from repro.check.sanitizer import SanitizedCommunicator, SanitizedMemoTable
-from repro.check.static import (
-    analyze_paths,
-    analyze_project,
-    analyze_source,
-    run_check,
-)
+from repro.check.static import analyze_project, analyze_source, run_check
 
 __all__ = [
     "Finding",
     "RULES",
     "SanitizedCommunicator",
     "SanitizedMemoTable",
-    "analyze_paths",
     "analyze_project",
     "analyze_source",
     "run_check",

@@ -1,30 +1,29 @@
 """Incremental findings cache for the static pass.
 
-Real analyzers are run on every save; the protocol pass is whole-program
-and therefore super-linear in tree size, so re-running it on an unchanged
-tree has to be near-free.  The cache stores, per analyzed file, the
-SHA-256 of its contents plus the findings produced for it, and — because
-per-file findings now depend on *project-wide* facts (cross-module
-constants for SPMD002, shm factories for SPMD003) — a **project
-signature** hashing those facts.  A per-file entry is reused only when
-both its content hash and the project signature match.
+Real analyzers are run on every save; the protocol and dataflow passes
+are whole-program and therefore super-linear in tree size, so re-running
+them on an unchanged tree has to be near-free.  The cache stores, per
+analyzed file, the SHA-256 of its contents plus the per-module findings
+produced for it, and — because SPMD003 also tracks handles returned
+through helpers in other files — a **project signature** hashing the
+call graph's shm factories.  A per-file entry is reused only when both
+its content hash and the project signature match.
 
 Protocol and dataflow findings are whole-program by construction, so they
 are keyed by the **tree hash** (hash of every file's content hash plus
-the analysis flags — which fold in the enabled rule-set version,
-:data:`repro.check.findings.RULESET_VERSION`, so toggling ``--dataflow``
-or changing the rule catalog invalidates stale entries).  The fast path:
+the rule-set version, :data:`repro.check.findings.RULESET_VERSION`, so
+changing the rule catalog invalidates stale entries).  The fast path:
 when every file's hash is unchanged, :meth:`CheckCache.lookup_tree`
-returns the complete cached result — per-file and protocol findings —
-without parsing a single module, which is what makes the warm re-run an
-order of magnitude cheaper than the cold one (the acceptance bar in
-``BENCH_check.json``).
+returns the complete cached result without parsing a single module,
+which is what makes the warm re-run an order of magnitude cheaper than
+the cold one (the acceptance bar in ``BENCH_check.json``).
 
 The cache file is JSON under ``.repro-check-cache.json`` next to the
 tree being analyzed (or an explicit ``--cache PATH``); a version bump in
-:data:`CACHE_VERSION` invalidates old caches wholesale.  Rule catalog
-changes need no manual bump: the catalog's content hash is part of both
-the tree flags and the project signature.
+:data:`CACHE_VERSION` invalidates old caches wholesale, and a file that
+does not have the expected shape is treated as an empty cache.  Rule
+catalog changes need no manual bump: the catalog's content hash is part
+of both the tree hash and the project signature.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from repro.check.findings import RULESET_VERSION, Finding
 
 __all__ = ["CheckCache", "file_sha", "CACHE_VERSION"]
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 DEFAULT_CACHE_NAME = ".repro-check-cache.json"
 
@@ -65,12 +64,22 @@ class CheckCache:
         self.misses = 0
 
     def _load(self) -> dict:
+        """The cache file's contents; empty if unreadable, stale or malformed.
+
+        Every entry is decoded once here, so a malformed file is dropped
+        as a whole instead of failing halfway through a lookup.
+        """
         try:
             with open(self.cache_path, encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, ValueError):
-            return self._empty()
-        if data.get("version") != CACHE_VERSION:
+            if data["version"] != CACHE_VERSION:
+                return self._empty()
+            for entry in data["files"].values():
+                if not isinstance(entry["sha"], str):
+                    raise TypeError("file entry without a sha")
+                _findings_from_json(entry["findings"])
+            _findings_from_json(data["program"])
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):
             return self._empty()
         return data
 
@@ -81,8 +90,7 @@ class CheckCache:
             "project_sig": None,
             "tree_sha": None,
             "files": {},
-            "protocol": [],
-            "dataflow": [],
+            "program": [],
         }
 
     # ------------------------------------------------------------------
@@ -91,51 +99,42 @@ class CheckCache:
         """Hash of the interprocedural facts per-file findings depend on."""
         digest = hashlib.sha256()
         digest.update(f"rules:{RULESET_VERSION};".encode())
-        for path in sorted(index.modules):
-            info = index.modules[path]
-            digest.update(info.name.encode())
-            for name in sorted(info.constants):
-                digest.update(f"{name}={info.constants[name]};".encode())
         for name in sorted(index.shm_factories):
             digest.update(f"factory:{name};".encode())
         return digest.hexdigest()
 
     @staticmethod
-    def tree_sha(shas: dict[str, str], flags: str = "") -> str:
-        """One digest over every (path, sha) pair plus analysis flags."""
+    def tree_sha(shas: dict[str, str]) -> str:
+        """One digest over every (path, sha) pair plus the rule-set version."""
         digest = hashlib.sha256()
-        digest.update(flags.encode())
+        digest.update(f"rules:{RULESET_VERSION};".encode())
         for path in sorted(shas):
             digest.update(path.encode())
             digest.update(shas[path].encode())
         return digest.hexdigest()
 
     # ------------------------------------------------------------------
-    def lookup_tree(self, shas: dict[str, str], flags: str = ""):
-        """Complete cached result when *nothing* changed, else ``None``.
+    def lookup_tree(self, shas: dict[str, str]) -> list[Finding] | None:
+        """Every cached finding when *nothing* changed, else ``None``.
 
-        Returns ``(per_file_findings, protocol_findings,
-        dataflow_findings)`` without requiring a parse of any module.
-        *flags* folds analysis-mode switches (``--protocol``,
-        ``--dataflow``) and the rule-set version into the key, so a cache
-        written without a pass — or against an older rule catalog — never
-        satisfies a run that wants it.
+        Needs no parse of any module.  The rule-set version is part of
+        the key, so a cache written against an older rule catalog never
+        satisfies the current one.
         """
-        if self._data.get("tree_sha") != self.tree_sha(shas, flags):
+        if self._data.get("tree_sha") != self.tree_sha(shas):
             return None
-        cached_files = self._data.get("files", {})
+        cached_files = self._data["files"]
         if set(cached_files) != set(shas):
             return None
-        per_file: list[Finding] = []
+        findings: list[Finding] = []
         for path, sha in shas.items():
-            entry = cached_files.get(path)
-            if entry is None or entry.get("sha") != sha:
+            entry = cached_files[path]
+            if entry["sha"] != sha:
                 return None
-            per_file.extend(_findings_from_json(entry.get("findings", [])))
-        protocol = _findings_from_json(self._data.get("protocol", []))
-        dataflow = _findings_from_json(self._data.get("dataflow", []))
+            findings.extend(_findings_from_json(entry["findings"]))
+        findings.extend(_findings_from_json(self._data["program"]))
         self.hits += len(shas)
-        return per_file, protocol, dataflow
+        return findings
 
     def lookup_file(
         self, path: str, sha: str, project_sig: str
@@ -144,12 +143,12 @@ class CheckCache:
         if self._data.get("project_sig") != project_sig:
             self.misses += 1
             return None
-        entry = self._data.get("files", {}).get(path)
-        if entry is None or entry.get("sha") != sha:
+        entry = self._data["files"].get(path)
+        if entry is None or entry["sha"] != sha:
             self.misses += 1
             return None
         self.hits += 1
-        return _findings_from_json(entry.get("findings", []))
+        return _findings_from_json(entry["findings"])
 
     # ------------------------------------------------------------------
     def store(
@@ -157,9 +156,7 @@ class CheckCache:
         shas: dict[str, str],
         project_sig: str,
         per_file: dict[str, list[Finding]],
-        protocol: list[Finding],
-        flags: str = "",
-        dataflow_findings: list[Finding] | None = None,
+        program: list[Finding],
     ) -> None:
         """Persist this run's findings keyed by content hashes.
 
@@ -170,7 +167,7 @@ class CheckCache:
         self._data = {
             "version": CACHE_VERSION,
             "project_sig": project_sig,
-            "tree_sha": self.tree_sha(shas, flags),
+            "tree_sha": self.tree_sha(shas),
             "files": {
                 path: {
                     "sha": shas[path],
@@ -178,8 +175,7 @@ class CheckCache:
                 }
                 for path in shas
             },
-            "protocol": _findings_to_json(protocol),
-            "dataflow": _findings_to_json(dataflow_findings or []),
+            "program": _findings_to_json(program),
         }
         tmp = self.cache_path + ".tmp"
         try:

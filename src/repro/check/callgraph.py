@@ -1,4 +1,4 @@
-"""Whole-program indexing for the protocol verifier.
+"""Whole-program indexing for the interprocedural passes.
 
 :class:`ProjectIndex` parses every file once and builds the three
 interprocedural facts the rest of :mod:`repro.check` consumes:
@@ -9,14 +9,12 @@ interprocedural facts the rest of :mod:`repro.check` consumes:
   ``mod.helper(x)`` through ``import pkg.mod as mod``, and
   ``self.method(...)`` within a class;
 * a **project constant environment**: every module's ``NAME = <int>``
-  bindings (including ``AugAssign`` updates and tuple unpacking, which
-  the original SPMD002 folder silently widened to wildcard), importable
-  across modules so a tag constant defined in one file resolves in
-  another;
+  bindings (including ``AugAssign`` updates and tuple unpacking),
+  importable across modules so a tag constant defined in one file
+  resolves in another;
 * the set of **shm-factory functions** — functions whose return value is
-  (transitively) tainted by ``allocate_shared``/``DenseMemoTable.wrap`` —
-  computed to a fixpoint so SPMD003 tracks handles returned through
-  helpers.
+  (transitively) tainted by ``DenseMemoTable.wrap`` — computed to a
+  fixpoint so SPMD003 tracks handles returned through helpers.
 
 The index is deliberately name-based (no type inference): calls on
 unknown receivers stay unresolved, which the protocol interpreter treats
@@ -310,7 +308,7 @@ class ProjectIndex:
         """Functions returning shm-tainted handles, to a fixpoint.
 
         Seeds on functions whose ``return`` expression calls
-        ``allocate_shared`` or ``DenseMemoTable.wrap`` directly, then
+        ``DenseMemoTable.wrap`` directly, then
         propagates through functions that return a call to (or a name
         assigned from) an already-known factory.
         """
@@ -362,6 +360,15 @@ class ProjectIndex:
                 if tainted(stmt.value):
                     return True
         return False
+
+
+def _receiver_root(node: ast.expr) -> str | None:
+    """Leftmost name of an attribute chain (``a.b.c`` -> ``a``)."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
 
 
 def _dotted_suffixes(name: str) -> list[str]:

@@ -1,6 +1,6 @@
 """Static cost extraction: loop-nest/vector-op degree of each kernel.
 
-The COST0xx half of the ``--dataflow`` pass.  The planner's
+The COST0xx half of the dataflow pass.  The planner's
 :class:`~repro.perf.model.WorkModel` prices stage one as
 ``seconds_per_cell * rows * cols`` — every per-slice engine is assumed
 **degree 2** in the slice dimensions.  :class:`~repro.runtime.registry.

@@ -1,7 +1,7 @@
 """Numeric dataflow verifier: interval/shape/dtype abstract interpretation.
 
 The second interprocedural pass of ``repro.check`` (sibling of
-:mod:`repro.check.protocol`, enabled with ``--dataflow``).  Where the
+:mod:`repro.check.protocol`; both run on every check).  Where the
 protocol pass proves communication schedules agree, this pass proves
 numeric facts about the **kernels**: it interprets each target function
 over abstract values combining
@@ -20,8 +20,7 @@ known bound, a known constant extent, or a same-root offset mismatch):
   ``DenseMemoTable``).  Under the input bounds declared in
   :data:`repro.runtime.registry.INPUT_BOUNDS` the segmented prefix-max
   lift provably exceeds every narrow dtype's range
-  (:func:`repro.check.intervals.lift_bound`); this is the semantic
-  replacement for the lexical SPMD004 smell.
+  (:func:`repro.check.intervals.lift_bound`).
 * **DTYPE102** — a shifted/packed value whose interval provably exceeds
   the word width of the integer array it is stored into.
 * **DTYPE103** — a provably lossy narrowing cast or store (``astype``
@@ -38,9 +37,10 @@ known bound, a known constant extent, or a same-root offset mismatch):
 Analysis targets: every function in the numeric substrate modules
 (``core/slices``, ``core/memo``, ``repro/mpi/*``), any function whose
 name marks it as a kernel by convention (``tabulate_*``, ``pack_*``,
-``lift_*``, ``_segmented_*``), plus any entry named by a registered
-:class:`~repro.runtime.registry.CostContract`.  Everything the
-abstraction cannot relate stays silent — top never proves anything.
+``lift_*``, ``_segmented_*``), and any function that calls a lift sink,
+so a narrow table built outside the substrate is still caught at the
+call that hands it over.  Everything the abstraction cannot relate
+stays silent — top never proves anything.
 """
 
 from __future__ import annotations
@@ -1083,9 +1083,11 @@ def _is_target(info, targets) -> bool:
     norm = info.path.replace("\\", "/")
     if any(part in norm for part in _SUBSTRATE_PATH_PARTS):
         return True
+    if info.node.name.startswith(_TARGET_NAME_PREFIXES):
+        return True
     return any(
-        info.node.name.startswith(prefix)
-        for prefix in _TARGET_NAME_PREFIXES
+        isinstance(node, ast.Call) and _is_lift_sink(node) is not None
+        for node in ast.walk(info.node)
     )
 
 
@@ -1099,9 +1101,9 @@ def analyze_dataflow(
     """Run the numeric dataflow pass over parsed *modules*.
 
     *targets* restricts analysis to functions whose qualified or bare
-    name appears in it (tests); by default the substrate modules and
-    conventionally named kernels are analyzed.  *bounds* overrides the
-    registry's declared input bounds.
+    name appears in it (tests); by default the substrate modules,
+    conventionally named kernels and lift-sink callers are analyzed.
+    *bounds* overrides the registry's declared input bounds.
     """
     if index is None:
         from repro.check.callgraph import ProjectIndex

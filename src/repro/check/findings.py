@@ -1,6 +1,6 @@
 """Finding records and the static rule catalog.
 
-Every static rule has a stable ID (``SPMD001``...), a one-line summary
+Every static rule has a stable ID (``SPMD101``...), a one-line summary
 here, and a full description with examples in ``docs/static-analysis.md``.
 Runtime sanitizer diagnostics use the ``SAN1xx``/``SAN2xx`` space and are
 documented alongside (they are raised, not collected, so they carry no
@@ -23,27 +23,15 @@ __all__ = [
 
 #: Static rule catalog: ID -> one-line summary.
 RULES: dict[str, str] = {
-    "SPMD001": (
-        "collective call under rank-dependent control flow (a rank that "
-        "skips a collective deadlocks every peer)"
-    ),
-    "SPMD002": (
-        "send with a constant tag that no receive in this module matches "
-        "(the receiver will block forever)"
-    ),
     "SPMD003": (
-        "write to a shared-memory-backed array outside an owned-partition "
-        "guard (cross-rank write/write race in the Allreduce window)"
-    ),
-    "SPMD004": (
-        "deprecated alias of DTYPE101 — narrow integer dtype flows into a "
-        "lift-based batched kernel; kept so existing '# noqa: SPMD004' "
-        "comments stay effective"
+        "write through a DenseMemoTable.wrap handle outside an "
+        "owned-partition guard (the cell belongs to another rank, whose "
+        "own write races this one)"
     ),
     "ARCH001": (
-        "direct construction of communicators/Tracer/shm memo outside "
-        "repro.runtime.context (route through ExecutionContext so plans, "
-        "stats and sanitizers stay consistent)"
+        "direct construction of communicators/Tracer/wrapped memo tables "
+        "outside repro.runtime.context (route through ExecutionContext so "
+        "plans, stats and sanitizers stay consistent)"
     ),
     # -- protocol verifier (interprocedural, rank-symbolic) -------------
     "SPMD101": (
@@ -91,7 +79,7 @@ RULES: dict[str, str] = {
         "narrow integer dtype reaches a lift/pack kernel whose value "
         "range provably overflows it under the registry's declared input "
         "bounds (the segmented prefix-max lift offsets segment s by "
-        "s * stride; semantic replacement for SPMD004)"
+        "s * stride)"
     ),
     "DTYPE102": (
         "shifted/packed value provably exceeds the word width of the "
@@ -130,12 +118,22 @@ RULES: dict[str, str] = {
     ),
 }
 
-#: Deprecated rule IDs and the rule each one aliases.  A deprecated ID is
+#: Deprecated rule IDs and the rules each one aliases.  A deprecated ID is
 #: never emitted, but its ``# noqa`` token still suppresses the canonical
-#: rule, and ``--list-rules`` marks it.
-DEPRECATED_RULES: dict[str, str] = {
-    "SPMD004": "DTYPE101",
+#: rules, and ``--list-rules`` marks it.
+DEPRECATED_RULES: dict[str, tuple[str, ...]] = {
+    "SPMD001": ("SPMD101", "SPMD103"),
+    "SPMD002": ("SPMD201", "SPMD202"),
+    "SPMD004": ("DTYPE101",),
 }
+
+RULES.update(
+    {
+        alias: f"deprecated alias of {'/'.join(canonical)} — never emitted; "
+        f"'# noqa: {alias}' still suppresses the canonical rules"
+        for alias, canonical in DEPRECATED_RULES.items()
+    }
+)
 
 
 def _ruleset_version() -> str:
@@ -149,15 +147,13 @@ def _ruleset_version() -> str:
     for rule in sorted(RULES):
         digest.update(rule.encode())
         digest.update(RULES[rule].encode())
-    for rule in sorted(DEPRECATED_RULES):
-        digest.update(f"{rule}->{DEPRECATED_RULES[rule]}".encode())
     return digest.hexdigest()[:12]
 
 
 #: Version tag of the enabled rule set (content hash of the catalog).
 RULESET_VERSION = _ruleset_version()
 
-#: ``# noqa`` / ``# noqa: SPMD001, SPMD003`` on the flagged line.
+#: ``# noqa`` / ``# noqa: SPMD101, SPMD003`` on the flagged line.
 _NOQA_RE = re.compile(
     r"#\s*noqa\b(?::?\s*(?P<codes>[A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*))?",
 )
@@ -186,12 +182,12 @@ def is_suppressed(rule: str, source_line: str) -> bool:
     """Whether *source_line* carries a ``# noqa`` comment covering *rule*.
 
     A bare ``# noqa`` suppresses every rule on that line; ``# noqa:
-    SPMD001, SPMD003`` suppresses only the listed rules.  Anything after
+    SPMD101, SPMD003`` suppresses only the listed rules.  Anything after
     the code list (an em-dash rationale, say) is ignored.
 
-    A deprecated alias keeps suppressing its canonical rule: ``# noqa:
-    SPMD004`` written against the old dtype smell also covers DTYPE101,
-    so deprecating a rule never un-suppresses existing code.
+    A deprecated alias keeps suppressing its canonical rules: ``# noqa:
+    SPMD001`` written against the old lexical rule also covers SPMD101
+    and SPMD103, so deprecating a rule never un-suppresses existing code.
     """
     match = _NOQA_RE.search(source_line)
     if match is None:
@@ -205,5 +201,5 @@ def is_suppressed(rule: str, source_line: str) -> bool:
     return any(
         alias in listed
         for alias, canonical in DEPRECATED_RULES.items()
-        if canonical == rule
+        if rule in canonical
     )

@@ -15,8 +15,7 @@ interpreter computes over, plus the event/tree vocabulary itself:
 * the **value lattice** for collective/send/recv metadata (tags, reduce
   ops, roots): ``("const", v)`` for a folded constant, ``("expr", text)``
   for a stable symbolic expression over resolvable names, and
-  ``("top", None)`` for anything data-dependent.  This is the same
-  three-point lattice SPMD002's tag folder uses, widened across modules
+  ``("top", None)`` for anything data-dependent, folded across modules
   by the project constant environment.
 
 Schedules are *trees*, not flat sequences: a uniform (rank-independent)
@@ -249,10 +248,13 @@ class Schedule:
 # ----------------------------------------------------------------------
 # Condition decision against an abstract rank
 # ----------------------------------------------------------------------
+def _is_rank_name(name: str) -> bool:
+    name = name.lstrip("_")
+    return name == "rank" or name.endswith("_rank")
+
+
 def _is_rankish(node: ast.expr, tainted: frozenset[str]) -> bool:
     """Whether *node* denotes the rank itself (``rank``, ``comm.rank``)."""
-    from repro.check.rules import _is_rank_name  # shared heuristic
-
     if isinstance(node, ast.Name):
         return _is_rank_name(node.id)
     if isinstance(node, ast.Attribute):
@@ -368,7 +370,7 @@ def collective_view(schedule: Schedule) -> Schedule:
     Star-patterned send/recv sequences legitimately differ per rank (rank
     0 receives from everyone, peers send to rank 0), so divergence is
     judged on the collective skeleton only; point-to-point safety is the
-    tag-matching rules' job (SPMD002/SPMD2xx).
+    tag-matching rules' job (SPMD2xx).
     """
     out = Schedule()
     for node in schedule.items:

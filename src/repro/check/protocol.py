@@ -30,7 +30,7 @@ Rule families over the schedules:
   ``SPMD201``/``SPMD202`` for constant send/recv tags with no matching
   peer anywhere in the analyzed program, with cross-module constant
   resolution.  One unresolvable receive tag anywhere makes the pool
-  wildcard (conservative, same stance as SPMD002's module rule).
+  wildcard (conservative).
 * **SCHED0xx — dependency-schedule legality**: each executor schedule
   declared in the registry is checked against the recurrence's actual
   ``d1``/``d2`` dependency structure (via
@@ -47,7 +47,12 @@ from __future__ import annotations
 
 import ast
 
-from repro.check.callgraph import FunctionInfo, ModuleInfo, ProjectIndex
+from repro.check.callgraph import (
+    FunctionInfo,
+    ModuleInfo,
+    ProjectIndex,
+    _receiver_root,
+)
 from repro.check.findings import Finding
 from repro.check.lattice import (
     ABSTRACT_RANKS,
@@ -63,21 +68,12 @@ from repro.check.lattice import (
     Schedule,
     SendEvent,
     TOP,
+    _is_rank_name,
     collective_view,
     decide_condition,
     first_difference,
     iter_events,
     render_value,
-)
-from repro.check.rules import (
-    COLLECTIVES,
-    _NON_COMM_ROOTS,
-    _RECV_METHODS,
-    _SEND_METHODS,
-    _mentions_rank,
-    _receiver_root,
-    _resolve_tag,
-    _tag_node,
 )
 
 __all__ = ["analyze_protocol", "extract_schedules", "check_declared_schedules"]
@@ -90,6 +86,68 @@ _MAX_INLINE_DEPTH = 24
 
 #: Collective keywords whose values must agree across ranks.
 _UNIFORM_META_KEYS = ("root", "op")
+
+COLLECTIVES = frozenset(
+    {
+        "barrier",
+        "bcast",
+        "allreduce",
+        "Allreduce",
+        "allgather",
+        "gather",
+        "scatter",
+        "reduce",
+    }
+)
+
+#: Receiver roots whose methods merely *look* like collectives
+#: (``np.maximum.reduce``, ``functools.reduce``, ...).
+_NON_COMM_ROOTS = frozenset(
+    {"np", "numpy", "functools", "operator", "itertools", "math"}
+)
+
+#: Point-to-point method name -> positional index of its ``tag`` argument.
+_SEND_METHODS = {"send": 2, "isend": 2, "_send": 2}
+_RECV_METHODS = {"recv": 1, "irecv": 1, "_recv": 1, "_try_recv": 1}
+
+
+def _mentions_rank(node: ast.AST) -> bool:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and _is_rank_name(sub.id):
+            return True
+        if isinstance(sub, ast.Attribute) and _is_rank_name(sub.attr):
+            return True
+    return False
+
+
+def _tag_node(call: ast.Call, positional_index: int) -> ast.expr | None:
+    for keyword in call.keywords:
+        if keyword.arg == "tag":
+            return keyword.value
+    if len(call.args) > positional_index:
+        return call.args[positional_index]
+    return None  # defaulted tag (0)
+
+
+def _resolve_tag(node: ast.expr | None, env: dict[str, int]):
+    """``("const", value)``, ``("expr", text)``, or ``("dynamic", None)``."""
+    if node is None:
+        return ("const", 0)
+    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        return ("const", node.value)
+    if isinstance(node, ast.Name) and node.id in env:
+        return ("const", env[node.id])
+    if isinstance(node, ast.Attribute) and node.attr in env:
+        return ("const", env[node.attr])
+    # Arithmetic over resolvable pieces keeps a stable text key; anything
+    # mentioning an unresolvable name is dynamic (matches everything on
+    # the receive side, is skipped on the send side).
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id not in env:
+            return ("dynamic", None)
+        if isinstance(sub, ast.Call):
+            return ("dynamic", None)
+    return ("expr", ast.unparse(node))
 
 
 # ----------------------------------------------------------------------
@@ -331,9 +389,16 @@ class _Interpreter:
     def _walk_expr(
         self, expr: ast.expr, state: _FrameState, out: Schedule
     ) -> None:
-        """Emit events for every call inside *expr*, in source order."""
+        """Emit events for every call inside *expr*, in source order.
+
+        A conditional expression is walked as the ``if`` statement it
+        abbreviates, so ``comm.gather(x) if rank else None`` is a branch.
+        """
         for node in _calls_in_order(expr):
-            self._handle_call(node, state, out)
+            if isinstance(node, ast.IfExp):
+                self._walk_if(_as_if(node), state, out)
+            else:
+                self._handle_call(node, state, out)
 
     def _handle_call(
         self, call: ast.Call, state: _FrameState, out: Schedule
@@ -480,10 +545,32 @@ def _safe_unparse(node: ast.AST) -> str:
         return "<expr>"
 
 
-def _calls_in_order(expr: ast.expr) -> list[ast.Call]:
-    calls = [node for node in ast.walk(expr) if isinstance(node, ast.Call)]
-    calls.sort(key=lambda c: (c.lineno, c.col_offset))
-    return calls
+def _calls_in_order(expr: ast.expr) -> list[ast.Call | ast.IfExp]:
+    """Calls and conditional expressions in *expr*, in source order.
+
+    A conditional expression stands for its whole subtree; its test and
+    arms are walked by :meth:`_Interpreter._walk_if`.
+    """
+    found: list[ast.Call | ast.IfExp] = []
+    pending: list[ast.AST] = [expr]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Call, ast.IfExp)):
+            found.append(node)
+        if not isinstance(node, ast.IfExp):
+            pending.extend(ast.iter_child_nodes(node))
+    found.sort(key=lambda n: (n.lineno, n.col_offset))
+    return found
+
+
+def _as_if(node: ast.IfExp) -> ast.If:
+    """The ``if`` statement a conditional expression abbreviates."""
+    stmt = ast.If(
+        test=node.test,
+        body=[ast.Expr(node.body)],
+        orelse=[ast.Expr(node.orelse)],
+    )
+    return ast.copy_location(stmt, node)
 
 
 def _bind_args(target: FunctionInfo, call: ast.Call):

@@ -25,9 +25,8 @@ TOOL_NAME = "repro-check"
 
 #: Rule families that indicate a proven protocol or numeric violation
 #: rather than a lexical smell; surfaced as SARIF ``error`` severity.
-#: DTYPE/SHAPE/COST findings are interval/shape *proofs* (or, for the
-#: lexical DTYPE101 form, a proof modulo aliasing), so they rank with
-#: the protocol verdicts.
+#: DTYPE/SHAPE/COST findings are interval/shape *proofs*, so they rank
+#: with the protocol verdicts.
 _ERROR_PREFIXES = ("SPMD1", "SPMD2", "SCHED", "DTYPE", "SHAPE", "COST")
 
 

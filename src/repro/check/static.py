@@ -1,18 +1,19 @@
-"""Static-pass driver: walk files, run rules, filter ``# noqa``, report.
+"""Static-pass driver: walk files, run every pass, filter ``# noqa``, report.
 
-Used three ways, all sharing :func:`run_check`:
+Used three ways, all sharing one option set (:func:`add_arguments`) and
+:func:`run_check`:
 
-* ``python -m repro.check [paths] [--protocol] [--sarif out.sarif] ...``
+* ``python -m repro.check [paths] [--sarif out.sarif] ...``
 * the ``repro-check`` console script
 * the ``repro-rna check`` subcommand
 
-The per-module rules (SPMD001-003, ARCH001, lexical DTYPE101) always
-run.  ``--protocol`` adds the interprocedural protocol verifier
-(:mod:`repro.check.protocol`: SPMD1xx collective agreement, SPMD2xx
-cross-module tag matching, SCHED0xx schedule legality).  ``--dataflow``
-adds the numeric dataflow verifier (:mod:`repro.check.dataflow` +
-:mod:`repro.check.costs`: DTYPE1xx interval-proven overflows, SHAPE1xx
-shape/axis incompatibilities, COST0xx cost-contract audits).
+Every run is the full checker: the per-module rules (SPMD003, ARCH001),
+the interprocedural protocol verifier (:mod:`repro.check.protocol`:
+SPMD1xx collective agreement, SPMD2xx cross-module tag matching,
+SCHED0xx schedule legality) and the numeric dataflow verifier
+(:mod:`repro.check.dataflow` + :mod:`repro.check.costs`: DTYPE1xx
+interval-proven overflows, SHAPE1xx shape/axis incompatibilities,
+COST0xx cost-contract audits).
 ``--cache`` makes re-runs over an unchanged tree
 near-instant (content-hash keyed, :mod:`repro.check.cache`), ``--sarif``
 writes a SARIF 2.1.0 log for GitHub code scanning, and
@@ -26,26 +27,28 @@ Exit codes: 0 clean, 1 findings, 2 usage/parse error.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import hashlib
 import json
 import os
 import sys
 
+from repro.check.callgraph import ProjectIndex
 from repro.check.findings import (
     DEPRECATED_RULES,
     RULES,
-    RULESET_VERSION,
     Finding,
     is_suppressed,
 )
 from repro.check.rules import analyze_module
 
 __all__ = [
+    "add_arguments",
     "analyze_source",
-    "analyze_paths",
     "analyze_project",
     "baseline_fingerprint",
+    "run_args",
     "run_check",
     "main",
 ]
@@ -104,16 +107,62 @@ def _filter_noqa(
 
 
 # ----------------------------------------------------------------------
-# Single-module analysis (tests, snippets)
+# Analysis
 # ----------------------------------------------------------------------
-def analyze_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Run every per-module rule over one source, honouring ``# noqa``.
+def _by_location(finding: Finding) -> tuple:
+    return (finding.path, finding.line, finding.col, finding.rule)
 
-    Raises :class:`SyntaxError` if *source* does not parse.
+
+def _module_findings(
+    index: ProjectIndex, path: str, source: str
+) -> list[Finding]:
+    """The per-module rules over one indexed file, ``# noqa`` applied."""
+    tree = index.modules[path].tree
+    raw = analyze_module(
+        tree, path, shm_factories=frozenset(index.shm_factories)
+    )
+    return _filter_noqa(raw, source.splitlines(), tree)
+
+
+def _program_findings(
+    index: ProjectIndex, sources: dict[str, str]
+) -> list[Finding]:
+    """The protocol and dataflow passes over every indexed module.
+
+    ``# noqa`` comments are honoured per file, as for per-module rules.
     """
-    tree = ast.parse(source, filename=path)
-    lines = source.splitlines()
-    return _filter_noqa(analyze_module(tree, path), lines, tree)
+    from repro.check.costs import analyze_costs
+    from repro.check.dataflow import analyze_dataflow
+    from repro.check.protocol import analyze_protocol
+
+    trees = {path: info.tree for path, info in index.modules.items()}
+    raw = analyze_protocol(trees, index=index)
+    raw += analyze_dataflow(trees, index=index)
+    raw += analyze_costs(index)
+    by_path: dict[str, list[Finding]] = {}
+    for finding in raw:
+        by_path.setdefault(finding.path, []).append(finding)
+    kept: list[Finding] = []
+    for path, findings in by_path.items():
+        if path in sources:
+            findings = _filter_noqa(
+                findings, sources[path].splitlines(), trees[path]
+            )
+        kept.extend(findings)
+    return kept
+
+
+def analyze_source(source: str, path: str = "<string>") -> list[Finding]:
+    """Run every rule over one source as a one-module program.
+
+    The per-module rules, the protocol pass and the dataflow pass all
+    see just this module; ``# noqa`` comments are honoured.  Raises
+    :class:`SyntaxError` if *source* does not parse.
+    """
+    index = ProjectIndex({path: ast.parse(source, filename=path)})
+    findings = _module_findings(index, path, source)
+    findings += _program_findings(index, {path: source})
+    return sorted(findings, key=_by_location)
 
 
 def _python_files(paths: list[str]) -> list[str]:
@@ -136,23 +185,15 @@ def _python_files(paths: list[str]) -> list[str]:
     return files
 
 
-# ----------------------------------------------------------------------
-# Whole-tree analysis (project context, protocol pass, cache)
-# ----------------------------------------------------------------------
 def analyze_project(
-    paths: list[str],
-    *,
-    protocol: bool = False,
-    dataflow: bool = False,
-    cache=None,
+    paths: list[str], *, cache=None
 ) -> tuple[list[Finding], int]:
-    """All findings under *paths* with full project context.
+    """All findings under *paths* plus the file count.
 
-    Per-module rules run with cross-module constants (SPMD002) and
-    call-graph shm factories (SPMD003); *protocol* adds the
-    interprocedural SPMD1xx/SPMD2xx/SCHED0xx families; *dataflow* adds
-    the numeric DTYPE1xx/SHAPE1xx/COST0xx families.  *cache* is an
-    optional :class:`repro.check.cache.CheckCache`.
+    The per-module rules run with call-graph shm factories (SPMD003);
+    the protocol and dataflow passes run over every file at once.
+    *cache* is an optional :class:`repro.check.cache.CheckCache`.
+    Raises :class:`UnicodeError` naming a file that is not UTF-8.
     """
     files = _python_files(paths)
     sources: dict[str, str] = {}
@@ -161,115 +202,37 @@ def analyze_project(
         with open(filename, "rb") as handle:
             data = handle.read()
         shas[filename] = hashlib.sha256(data).hexdigest()
-        sources[filename] = data.decode("utf-8")
+        try:
+            sources[filename] = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise UnicodeError(f"cannot decode {filename}: {exc}") from exc
 
-    # The enabled-rule-set version is part of the cache key: toggling a
-    # pass or changing the catalog must never replay stale verdicts.
-    flags = (
-        f"rules:{RULESET_VERSION}|protocol:{int(protocol)}"
-        f"|dataflow:{int(dataflow)}"
-    )
     if cache is not None:
-        hit = cache.lookup_tree(shas, flags)
+        hit = cache.lookup_tree(shas)
         if hit is not None:
-            per_file, proto, flow = hit
-            findings = per_file + proto + flow
-            findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-            return findings, len(files)
+            return sorted(hit, key=_by_location), len(files)
 
-    trees: dict[str, ast.Module] = {}
-    for filename in files:
-        trees[filename] = ast.parse(sources[filename], filename=filename)
-
-    from repro.check.callgraph import ProjectIndex
-
-    index = ProjectIndex(trees)
+    index = ProjectIndex(
+        {name: ast.parse(sources[name], filename=name) for name in files}
+    )
     project_sig = None
     if cache is not None:
-        from repro.check.cache import CheckCache
-
-        project_sig = CheckCache.project_signature(index)
+        project_sig = cache.project_signature(index)
 
     per_file: dict[str, list[Finding]] = {}
     for filename in files:
         cached = None
         if cache is not None:
             cached = cache.lookup_file(filename, shas[filename], project_sig)
-        if cached is not None:
-            per_file[filename] = cached
-            continue
-        module = index.modules[filename]
-        raw = analyze_module(
-            trees[filename],
-            filename,
-            extra_constants=index.constant_env(module),
-            shm_factories=frozenset(index.shm_factories),
-        )
-        per_file[filename] = _filter_noqa(
-            raw, sources[filename].splitlines(), trees[filename]
-        )
-
-    proto_findings: list[Finding] = []
-    if protocol:
-        from repro.check.protocol import analyze_protocol
-
-        raw_proto = analyze_protocol(trees, index=index)
-        for finding in raw_proto:
-            if finding.path in sources:
-                lines = sources[finding.path].splitlines()
-                kept = _filter_noqa([finding], lines, trees[finding.path])
-                proto_findings.extend(kept)
-            else:
-                proto_findings.append(finding)
-
-    flow_findings: list[Finding] = []
-    if dataflow:
-        from repro.check.costs import analyze_costs
-        from repro.check.dataflow import analyze_dataflow
-
-        raw_flow = analyze_dataflow(trees, index=index)
-        raw_flow += analyze_costs(index)
-        # The lexical dtype rule and the dataflow pass can both prove the
-        # same DTYPE101 at the same call site; keep the per-file copy.
-        seen = {
-            (f.rule, f.path, f.line, f.col)
-            for fs in per_file.values()
-            for f in fs
-        }
-        for finding in raw_flow:
-            if (finding.rule, finding.path, finding.line,
-                    finding.col) in seen:
-                continue
-            if finding.path in sources:
-                lines = sources[finding.path].splitlines()
-                kept = _filter_noqa([finding], lines, trees[finding.path])
-                flow_findings.extend(kept)
-            else:
-                flow_findings.append(finding)
+        if cached is None:
+            cached = _module_findings(index, filename, sources[filename])
+        per_file[filename] = cached
+    program = _program_findings(index, sources)
 
     if cache is not None:
-        cache.store(
-            shas, project_sig, per_file, proto_findings, flags,
-            dataflow_findings=flow_findings,
-        )
-
-    findings = (
-        [f for fs in per_file.values() for f in fs]
-        + proto_findings
-        + flow_findings
-    )
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings, len(files)
-
-
-def analyze_paths(paths: list[str]) -> tuple[list[Finding], int]:
-    """All per-module findings under *paths* plus the file count.
-
-    Kept as the simple entry point (no protocol pass, no cache); project
-    context is still applied so cross-module tags and helper-returned shm
-    handles resolve.
-    """
-    return analyze_project(paths)
+        cache.store(shas, project_sig, per_file, program)
+    findings = [f for fs in per_file.values() for f in fs] + program
+    return sorted(findings, key=_by_location), len(files)
 
 
 # ----------------------------------------------------------------------
@@ -309,9 +272,22 @@ def _fingerprints(findings: list[Finding]) -> dict[str, Finding]:
 
 
 def load_baseline(path: str) -> set[str]:
+    """The fingerprints recorded in the baseline file at *path*.
+
+    Raises :class:`ValueError` unless the file holds a JSON object with
+    a list of strings under ``fingerprints``.
+    """
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
-    return set(data.get("fingerprints", []))
+    fingerprints = data.get("fingerprints") if isinstance(data, dict) else None
+    if not isinstance(fingerprints, list) or not all(
+        isinstance(item, str) for item in fingerprints
+    ):
+        raise ValueError(
+            f"{path}: expected an object with a list of strings under "
+            "'fingerprints'"
+        )
+    return set(fingerprints)
 
 
 def write_baseline(path: str, findings: list[Finding]) -> int:
@@ -368,8 +344,6 @@ def run_check(
     *,
     json_output: bool = False,
     stream=None,
-    protocol: bool = False,
-    dataflow: bool = False,
     sarif_path: str | None = None,
     baseline_path: str | None = None,
     update_baseline: bool = False,
@@ -384,11 +358,12 @@ def run_check(
 
         cache = CheckCache(cache_path)
     try:
-        findings, n_files = analyze_project(
-            paths, protocol=protocol, dataflow=dataflow, cache=cache
-        )
+        findings, n_files = analyze_project(paths, cache=cache)
     except FileNotFoundError as exc:
         print(f"repro.check: no such path: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeError as exc:
+        print(f"repro.check: {exc}", file=sys.stderr)
         return 2
     except SyntaxError as exc:
         print(f"repro.check: cannot parse {exc.filename}: {exc}",
@@ -423,39 +398,37 @@ def run_check(
         payload = {
             "version": 1,
             "checked_files": n_files,
-            "protocol": protocol,
-            "dataflow": dataflow,
             "findings": [finding.as_dict() for finding in findings],
         }
         print(json.dumps(payload, indent=2), file=stream)
     else:
         for finding in findings:
             print(finding.render(), file=stream)
-        passes = [name for name, on in (("protocol", protocol),
-                                        ("dataflow", dataflow)) if on]
-        mode = f" (+{'+'.join(passes)})" if passes else ""
         summary = (
-            f"repro.check: {len(findings)} finding(s) in {n_files} "
-            f"file(s){mode}"
+            f"repro.check: {len(findings)} finding(s) in {n_files} file(s)"
             if findings
-            else f"repro.check: OK ({n_files} files, 0 findings{mode})"
+            else f"repro.check: OK ({n_files} files, 0 findings)"
         )
         print(summary, file=stream)
     return 1 if findings else 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point (``python -m repro.check`` / ``repro-check``)."""
-    import argparse
+#: One-paragraph description shared by ``repro-check`` and
+#: ``repro-rna check``.
+DESCRIPTION = (
+    "SPMD static analysis for the PRNA stack: per-module rules "
+    "SPMD003/ARCH001, protocol rules SPMD1xx/SPMD2xx/SCHED0xx and numeric "
+    "dataflow rules DTYPE1xx/SHAPE1xx/COST0xx, all on every run "
+    "(see docs/static-analysis.md)"
+)
 
-    parser = argparse.ArgumentParser(
-        prog="repro-check",
-        description="SPMD static analysis for the PRNA stack "
-        "(per-module rules SPMD001-003/ARCH001/DTYPE101, interprocedural "
-        "protocol rules SPMD1xx/SPMD2xx/SCHED0xx with --protocol, "
-        "numeric dataflow rules DTYPE1xx/SHAPE1xx/COST0xx with "
-        "--dataflow; see docs/static-analysis.md)",
-    )
+
+def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Declare every checker option on *parser* and return it.
+
+    The one definition behind both ``repro-check`` and ``repro-rna
+    check``; pair it with :func:`run_args`.
+    """
     parser.add_argument(
         "paths", nargs="*",
         help="files or directories (default: src/repro)",
@@ -463,17 +436,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--json", action="store_true", dest="json_output",
         help="machine-readable findings for CI annotation",
-    )
-    parser.add_argument(
-        "--protocol", action="store_true",
-        help="run the interprocedural protocol verifier (rank-symbolic "
-        "communication schedules, deadlock and schedule-legality checks)",
-    )
-    parser.add_argument(
-        "--dataflow", action="store_true",
-        help="run the numeric dataflow verifier (interval/shape/dtype "
-        "abstract interpretation of the kernels plus cost-contract "
-        "audits against the planner's WorkModel degrees)",
     )
     parser.add_argument(
         "--sarif", metavar="PATH", dest="sarif_path",
@@ -497,7 +459,11 @@ def main(argv: list[str] | None = None) -> int:
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def run_args(args: argparse.Namespace) -> int:
+    """Execute a checker command line parsed by :func:`add_arguments`."""
     if args.list_rules:
         for rule, summary in sorted(RULES.items()):
             tag = " [deprecated]" if rule in DEPRECATED_RULES else ""
@@ -506,10 +472,16 @@ def main(argv: list[str] | None = None) -> int:
     return run_check(
         args.paths or None,
         json_output=args.json_output,
-        protocol=args.protocol,
-        dataflow=args.dataflow,
         sarif_path=args.sarif_path,
         baseline_path=args.baseline_path,
         update_baseline=args.update_baseline,
         cache_path=args.cache_path,
     )
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point (``python -m repro.check`` / ``repro-check``)."""
+    parser = argparse.ArgumentParser(
+        prog="repro-check", description=DESCRIPTION
+    )
+    return run_args(add_arguments(parser).parse_args(argv))

@@ -8,10 +8,9 @@ Subcommands:
 * ``simulate`` — simulated PRNA speedup for a structure/cluster;
 * ``trace-report FILE`` — per-rank compute/comm-wait/idle summary of a
   Chrome trace produced by ``--trace``;
-* ``check [PATHS]`` — SPMD static analysis (per-module rules SPMD001-003/
-  ARCH001/DTYPE101 plus the ``--protocol`` and ``--dataflow``
-  interprocedural verifiers, SARIF and
-  baseline modes; see ``docs/static-analysis.md``), same engine as
+* ``check [PATHS]`` — SPMD static analysis (per-module rules plus the
+  protocol and dataflow verifiers, SARIF and baseline modes; see
+  ``docs/static-analysis.md``), same options and engine as
   ``python -m repro.check``;
 * ``experiments ...`` — forwards to ``python -m repro.experiments``.
 
@@ -273,27 +272,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.check.findings import DEPRECATED_RULES
-    from repro.check.static import RULES, run_check
-
-    if args.list_rules:
-        for rule, summary in sorted(RULES.items()):
-            tag = " [deprecated]" if rule in DEPRECATED_RULES else ""
-            print(f"{rule}{tag}  {summary}")
-        return 0
-    return run_check(
-        args.paths or None,
-        json_output=args.json_output,
-        protocol=args.protocol,
-        dataflow=args.dataflow,
-        sarif_path=args.sarif_path,
-        baseline_path=args.baseline_path,
-        update_baseline=args.update_baseline,
-        cache_path=args.cache_path,
-    )
-
-
 def _cmd_trace_report(args: argparse.Namespace) -> int:
     from repro.obs.report import summarize_trace
 
@@ -428,49 +406,15 @@ def main(argv: list[str] | None = None) -> int:
     trace_report.add_argument("file", help="Chrome trace-event JSON path")
     trace_report.set_defaults(func=_cmd_trace_report)
 
+    from repro.check.static import DESCRIPTION, add_arguments, run_args
+
     check = sub.add_parser(
         "check",
         help="SPMD static analysis of Python sources (per-module rules "
-        "plus the --protocol and --dataflow interprocedural verifiers)",
+        "plus the protocol and dataflow verifiers)",
+        description=DESCRIPTION,
     )
-    check.add_argument(
-        "paths", nargs="*", help="files or directories (default: src/repro)"
-    )
-    check.add_argument(
-        "--json", action="store_true", dest="json_output",
-        help="machine-readable findings for CI annotation",
-    )
-    check.add_argument(
-        "--protocol", action="store_true",
-        help="run the interprocedural protocol verifier "
-        "(SPMD1xx/SPMD2xx/SCHED0xx)",
-    )
-    check.add_argument(
-        "--dataflow", action="store_true",
-        help="run the numeric dataflow verifier "
-        "(DTYPE1xx/SHAPE1xx/COST0xx)",
-    )
-    check.add_argument(
-        "--sarif", metavar="PATH", dest="sarif_path",
-        help="write findings as SARIF 2.1.0",
-    )
-    check.add_argument(
-        "--baseline", metavar="PATH", dest="baseline_path",
-        help="ratchet mode: suppress grandfathered findings",
-    )
-    check.add_argument(
-        "--update-baseline", action="store_true",
-        help="write the current findings to --baseline and exit 0",
-    )
-    check.add_argument(
-        "--cache", metavar="PATH", dest="cache_path",
-        help="incremental findings cache (content-hash keyed)",
-    )
-    check.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalog and exit",
-    )
-    check.set_defaults(func=_cmd_check)
+    add_arguments(check).set_defaults(func=run_args)
 
     args = parser.parse_args(argv)
     try:

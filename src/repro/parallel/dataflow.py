@@ -38,7 +38,7 @@ always make progress.
 
 The publication order (right-endpoint, i.e. arc index order) is declared
 in :mod:`repro.runtime.registry` and machine-checked by
-``repro.check --protocol`` (SCHED001–003) against the actual dependency
+``repro.check`` (SCHED001–003) against the actual dependency
 structure; the runtime sanitizer independently validates every ``Publish``
 against the declared schedule (see
 :meth:`repro.check.sanitizer.SanitizedCommunicator.declare_publication_schedule`).

@@ -339,7 +339,7 @@ def prna_rank(
             score = comm.bcast(score, root=0)
         # Every rank stores the agreed score after the final broadcast, so
         # the identical write is race-free by construction.
-        memo.store(0, 0, score)  # noqa: SPMD003
+        memo.store(0, 0, score)
     finally:
         if stage_ctx is not None:
             stage_ctx.__exit__(None, None, None)

@@ -490,7 +490,7 @@ class Planner:
             rationale.append(
                 f"cost contract {contract.key}: degree {contract.degree}, "
                 f"{contract.polynomial} (statically audited by "
-                "repro.check --dataflow, COST001)"
+                "repro.check, COST001)"
             )
         return engine
 

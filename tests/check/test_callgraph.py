@@ -197,11 +197,11 @@ class TestShmFactories:
     def test_transitive_factory_through_helper(self):
         index = index_of(
             pkg_a="""
-            def inner(comm, shape):
-                return comm.allocate_shared(shape)
+            def inner(buffer):
+                return DenseMemoTable.wrap(buffer)
 
-            def outer(comm, shape):
-                handle = inner(comm, shape)
+            def outer(buffer):
+                handle = inner(buffer)
                 return handle
             """
         )

@@ -2,10 +2,10 @@
 
 Two tiers.  The classic per-module bugs:
 
-1. rank-0-only barrier          -> SPMD001 (static), SAN101/SAN103 (runtime)
+1. rank-0-only barrier          -> SPMD101 (static), SAN101/SAN103 (runtime)
 2. mismatched Allreduce dtypes  -> SAN102
 3. out-of-partition shm write   -> SPMD003 (static), SAN202 (runtime)
-4. swapped send/recv tags       -> SPMD002 (static), SAN104 (runtime)
+4. swapped send/recv tags       -> SPMD201/SPMD202 (static), SAN104 (runtime)
 
 And the seeded *protocol* bugs — each one invisible to a single-module
 lexical pass, caught by the interprocedural verifier with its exact rule
@@ -71,7 +71,7 @@ class TestRankZeroOnlyBarrier:
                 """
             )
         )
-        assert [f.rule for f in findings] == ["SPMD001"]
+        assert [f.rule for f in findings] == ["SPMD101"]
 
     def test_runtime_divergence(self):
         # Rank 1 skips the barrier and reaches the *next* collective; the
@@ -200,8 +200,8 @@ class TestSwappedTags:
                 """
             )
         )
-        assert "SPMD002" in {f.rule for f in findings}
-        flagged = [f for f in findings if f.rule == "SPMD002"]
+        assert {"SPMD201", "SPMD202"} <= {f.rule for f in findings}
+        flagged = [f for f in findings if f.rule == "SPMD201"]
         assert any("tag 4" in f.message for f in flagged)
 
     def test_runtime_detection(self):

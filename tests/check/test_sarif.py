@@ -181,10 +181,9 @@ class TestSarifContent:
         out = tmp_path / "out.sarif"
         code = run_check(
             [str(bad)], stream=io.StringIO(), sarif_path=str(out),
-            protocol=True,
         )
         assert code == 1
         doc = json.loads(out.read_text())
         jsonschema.validate(doc, SARIF_CORE_SCHEMA)
         rule_ids = {r["ruleId"] for r in doc["runs"][0]["results"]}
-        assert {"SPMD001", "SPMD101"} <= rule_ids
+        assert "SPMD101" in rule_ids

@@ -26,6 +26,10 @@ def rules_of(findings) -> list[str]:
 
 
 class TestSPMD001:
+    """Rank-dependent collectives, once the lexical SPMD001 rule: the
+    protocol pass proves them as SPMD101 (divergent schedules) and
+    SPMD103 (rank-dependent trip counts)."""
+
     def test_barrier_under_rank_if(self):
         findings = check(
             """
@@ -34,7 +38,7 @@ class TestSPMD001:
                     comm.barrier()
             """
         )
-        assert rules_of(findings) == ["SPMD001"]
+        assert rules_of(findings) == ["SPMD101"]
         assert "barrier" in findings[0].message
         assert findings[0].line == 4  # snippet has a leading blank line
 
@@ -48,7 +52,7 @@ class TestSPMD001:
                     comm.bcast(1, root=0)
             """
         )
-        assert rules_of(findings) == ["SPMD001"]
+        assert rules_of(findings) == ["SPMD101"]
 
     def test_while_and_ifexp(self):
         findings = check(
@@ -59,7 +63,7 @@ class TestSPMD001:
                 x = comm.gather(1) if my_rank else None
             """
         )
-        assert rules_of(findings) == ["SPMD001", "SPMD001"]
+        assert rules_of(findings) == ["SPMD103", "SPMD101"]
 
     def test_uniform_conditional_is_clean(self):
         findings = check(
@@ -119,6 +123,9 @@ class TestSPMD001:
 
 
 class TestSPMD002:
+    """Unmatched constant tags, once the lexical SPMD002 rule: the
+    protocol pass proves them as SPMD201 (send) and SPMD202 (recv)."""
+
     def test_unmatched_literal_tag(self):
         findings = check(
             """
@@ -127,7 +134,7 @@ class TestSPMD002:
                 comm.recv(0, tag=5)
             """
         )
-        assert rules_of(findings) == ["SPMD002"]
+        assert rules_of(findings) == ["SPMD201", "SPMD202"]
         assert "tag 3" in findings[0].message
 
     def test_matched_literal_tags_clean(self):
@@ -151,7 +158,7 @@ class TestSPMD002:
                 comm.isend("y", 1, tag=TAG_STOP)
             """
         )
-        assert rules_of(findings) == ["SPMD002"]
+        assert rules_of(findings) == ["SPMD201"]
         assert "tag 8" in findings[0].message
 
     def test_class_attribute_tags(self):
@@ -193,9 +200,9 @@ class TestSPMD003:
     def test_unguarded_write_to_shared(self):
         findings = check_substrate(
             """
-            def fn(comm, j):
-                table = comm.allocate_shared((4, 4))
-                table[0, j] = 1
+            def fn(buffer, j):
+                table = DenseMemoTable.wrap(buffer)
+                table.values[0, j] = 1
             """
         )
         assert rules_of(findings) == ["SPMD003"]
@@ -203,11 +210,11 @@ class TestSPMD003:
     def test_owned_guarded_write_clean(self):
         findings = check_substrate(
             """
-            def fn(comm, partition):
-                table = comm.allocate_shared((4, 4))
+            def fn(comm, buffer, partition):
+                table = DenseMemoTable.wrap(buffer)
                 owned = partition.tasks_of(comm.rank)
                 for b in owned:
-                    table[0, b] = 1
+                    table.values[0, b] = 1
             """
         )
         assert findings == []
@@ -215,10 +222,10 @@ class TestSPMD003:
     def test_membership_guard_clean(self):
         findings = check_substrate(
             """
-            def fn(comm, owned_set, b):
-                table = comm.allocate_shared((4, 4))
+            def fn(buffer, owned_set, b):
+                table = DenseMemoTable.wrap(buffer)
                 if b in owned_set:
-                    table[0, b] = 1
+                    table.values[0, b] = 1
             """
         )
         assert findings == []
@@ -226,8 +233,8 @@ class TestSPMD003:
     def test_wrap_taints_and_store_flagged(self):
         findings = check_substrate(
             """
-            def fn(comm):
-                memo = DenseMemoTable.wrap(comm.allocate_shared((4, 4)))
+            def fn(buffer):
+                memo = DenseMemoTable.wrap(buffer)
                 memo.store(0, 0, 5)
             """
         )
@@ -246,8 +253,8 @@ class TestSPMD003:
 
 
 class TestLexicalDTYPE101:
-    # Formerly SPMD004 — the rule now reports under its semantic
-    # replacement's ID, and `# noqa: SPMD004` keeps suppressing it.
+    # Once a lexical pattern (formerly SPMD004): the dataflow pass proves
+    # these DTYPE101s, and `# noqa: SPMD004` keeps suppressing them.
     def test_narrow_array_into_lift_kernel(self):
         findings = check(
             """
@@ -432,13 +439,14 @@ class TestSuppression:
 class TestDriver:
     def test_rule_catalog_complete(self):
         assert set(RULES) == {
-            # Per-module lexical rules (SPMD004 is a deprecated alias).
+            # Deprecated aliases, never emitted.
             "SPMD001",
             "SPMD002",
-            "SPMD003",
             "SPMD004",
+            # Per-module rules.
+            "SPMD003",
             "ARCH001",
-            # Interprocedural protocol rules (--protocol).
+            # Interprocedural protocol rules.
             "SPMD101",
             "SPMD102",
             "SPMD103",
@@ -447,7 +455,7 @@ class TestDriver:
             "SCHED001",
             "SCHED002",
             "SCHED003",
-            # Numeric dataflow rules (--dataflow).
+            # Numeric dataflow rules.
             "DTYPE101",
             "DTYPE102",
             "DTYPE103",
@@ -480,12 +488,19 @@ class TestDriver:
         assert run_check([str(path)], json_output=True, stream=stream) == 1
         payload = json.loads(stream.getvalue())
         assert payload["checked_files"] == 1
-        assert payload["findings"][0]["rule"] == "SPMD001"
+        assert payload["findings"][0]["rule"] == "SPMD101"
         assert payload["findings"][0]["line"] == 3
 
     def test_run_check_missing_path(self):
         stream = io.StringIO()
         assert run_check(["definitely/not/here.py"], stream=stream) == 2
+
+    def test_run_check_undecodable_file(self, tmp_path, capsys):
+        # A parse error, not a finding: exit 2 and name the file.
+        path = tmp_path / "latin1.py"
+        path.write_bytes(b'x = "\xff"\n')
+        assert run_check([str(path)], stream=io.StringIO()) == 2
+        assert f"repro.check: cannot decode {path}" in capsys.readouterr().err
 
     def test_shipped_tree_is_clean(self):
         # The acceptance criterion: the static pass exits 0 on src/repro.
@@ -531,7 +546,7 @@ class TestNoqaEdgeCases:
             """
         )
         assert suppressed == []
-        assert rules_of(kept) == ["SPMD001"]
+        assert rules_of(kept) == ["SPMD101"]
 
     def test_noqa_on_continuation_line(self):
         # Black puts the closing paren (and hence the trailing comment)
@@ -574,7 +589,7 @@ class TestNoqaEdgeCases:
             + filler
             + "\n    y = 1  # noqa: SPMD001\n"
         )
-        assert rules_of(findings) == ["SPMD001"]
+        assert rules_of(findings) == ["SPMD101"]
 
     def test_wrong_rule_on_continuation_line_does_not_suppress(self):
         findings = check(
@@ -587,7 +602,7 @@ class TestNoqaEdgeCases:
                     )  # noqa: SPMD004
             """
         )
-        assert rules_of(findings) == ["SPMD001"]
+        assert rules_of(findings) == ["SPMD101"]
 
 
 BAD_SNIPPET = (
@@ -684,6 +699,19 @@ class TestBaseline:
             [str(bad)], stream=io.StringIO(), baseline_path=str(baseline),
         ) == 0
 
+    @pytest.mark.parametrize(
+        "content", ["[1, 2]", '{"fingerprints": 5}', '{"fingerprints": [1]}']
+    )
+    def test_malformed_baseline_is_usage_error(self, tmp_path, capsys,
+                                               content):
+        bad = self._write_bad(tmp_path)
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(content)
+        assert run_check(
+            [str(bad)], stream=io.StringIO(), baseline_path=str(baseline),
+        ) == 2
+        assert "cannot read baseline" in capsys.readouterr().err
+
     def test_update_without_baseline_path_is_usage_error(self, tmp_path):
         from repro.check.static import run_check
 
@@ -694,7 +722,8 @@ class TestBaseline:
 
 
 class TestProjectContext:
-    """Satellites: SPMD002/SPMD003 with whole-program context."""
+    """Tag matching (SPMD201/SPMD202) and SPMD003 with whole-program
+    context."""
 
     def test_spmd002_augassign_tag(self):
         # TAG is built up with AugAssign; the folder must track it.
@@ -721,9 +750,9 @@ class TestProjectContext:
                 comm.recv(0, tag=0x100)
             """
         )
-        # Only the send side is flagged (a recv with no matching send is
-        # a liveness question for the runtime sanitizer, not this rule).
-        assert rules_of(findings) == ["SPMD002"]
+        # Both sides are flagged: the send matches no recv, and the recv
+        # matches no send.
+        assert rules_of(findings) == ["SPMD201", "SPMD202"]
         assert "tag 258" in findings[0].message
 
     def test_spmd002_tuple_unpacking_tags(self):
@@ -742,8 +771,7 @@ class TestProjectContext:
 
     def test_spmd002_cross_module_imported_tag(self, tmp_path):
         # The constant lives in another module; analyze_project resolves
-        # it through the import graph (module-local analyze_source used
-        # to treat the tag as dynamic, silently exempting the module).
+        # it through the import graph.
         from repro.check.static import analyze_project
 
         pkg = tmp_path / "pkg"
@@ -757,54 +785,41 @@ class TestProjectContext:
             "    comm.recv(0, tag=12)\n"
         )
         findings, _ = analyze_project([str(tmp_path)])
-        assert [f.rule for f in findings] == ["SPMD002"]
+        assert [f.rule for f in findings] == ["SPMD201", "SPMD202"]
         assert "tag 11" in findings[0].message
 
     def test_spmd003_handle_through_helper(self, tmp_path):
-        # Regression: the shm handle is minted by a helper function, so
-        # the module-local taint never sees allocate_shared.  The call
+        # Regression: the handle is minted by a helper function, so the
+        # function-local taint never sees DenseMemoTable.wrap.  The call
         # graph marks make_table as an shm factory and the write is
         # flagged.  (This was a false negative before the project pass.)
         from repro.check.static import analyze_project
 
         (tmp_path / "mod.py").write_text(
-            "def make_table(comm, shape):\n"
-            "    return comm.allocate_shared(shape)\n"
+            "def make_table(buffer):\n"
+            "    return DenseMemoTable.wrap(buffer)\n"
             "\n"
-            "def fn(comm, j):\n"
-            "    table = make_table(comm, (4, 4))\n"
-            "    table[0, j] = 1\n"
+            "def fn(buffer, j):\n"
+            "    table = make_table(buffer)\n"
+            "    table.values[0, j] = 1\n"
         )
         findings, _ = analyze_project([str(tmp_path)])
         assert "SPMD003" in [f.rule for f in findings]
-
-    def test_spmd003_helper_false_negative_without_project(self, tmp_path):
-        # Documents WHY the call-graph promotion matters: the same code
-        # is invisible to the single-module pass.
-        source = (
-            "def make_table(comm, shape):\n"
-            "    return comm.allocate_shared(shape)\n"
-            "\n"
-            "def fn(comm, j):\n"
-            "    table = make_table(comm, (4, 4))\n"
-            "    table[0, j] = 1\n"
-        )
-        assert "SPMD003" not in rules_of(check(source))
 
     def test_spmd003_guarded_helper_handle_clean(self, tmp_path):
         from repro.check.static import analyze_project
 
         (tmp_path / "mod.py").write_text(
-            "def make_table(comm, shape):\n"
-            "    return comm.allocate_shared(shape)\n"
+            "def make_table(buffer):\n"
+            "    return DenseMemoTable.wrap(buffer)\n"
             "\n"
-            "def fn(comm, partition):\n"
-            "    table = make_table(comm, (4, 4))\n"
+            "def fn(comm, buffer, partition):\n"
+            "    table = make_table(buffer)\n"
             "    for b in partition.tasks_of(comm.rank):\n"
-            "        table[0, b] = 1\n"
+            "        table.values[0, b] = 1\n"
         )
         findings, _ = analyze_project([str(tmp_path)])
-        # ARCH001 (raw allocate_shared outside the substrate) still
+        # ARCH001 (a wrapped table built outside the context) still
         # fires; the point is that the *guarded* write draws no SPMD003.
         assert [f.rule for f in findings] == ["ARCH001"]
 
@@ -863,7 +878,7 @@ class TestCLI:
         )
         assert main(["check", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "SPMD001" in out
+        assert "SPMD101" in out
 
     def test_check_list_rules(self, capsys):
         from repro.cli import main
@@ -872,3 +887,61 @@ class TestCLI:
         out = capsys.readouterr().out
         for rule in RULES:
             assert rule in out
+
+    def test_both_commands_share_one_option_set(self, capsys):
+        import re
+
+        from repro.check.static import main as check_main
+        from repro.cli import main
+
+        def options(entry, argv):
+            with pytest.raises(SystemExit):
+                entry(argv)
+            return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+
+        assert options(main, ["check", "--help"]) == options(
+            check_main, ["--help"]
+        )
+
+
+class TestDeprecatedAliases:
+    """Old lexical rule IDs keep suppressing the rules that replaced them."""
+
+    def test_spmd001_suppresses_divergence_and_trip_count(self):
+        findings = check(
+            """
+            def fn(comm, my_rank):
+                if comm.rank == 0:
+                    comm.barrier()  # noqa: SPMD001
+                while my_rank < 2:
+                    comm.allreduce(1)  # noqa: SPMD001
+            """
+        )
+        assert findings == []
+
+    def test_spmd002_suppresses_both_tag_rules(self):
+        findings = check(
+            """
+            def fn(comm):
+                comm.send("x", 1, tag=3)  # noqa: SPMD002
+                comm.recv(0, tag=5)  # noqa: SPMD002
+            """
+        )
+        assert findings == []
+
+    def test_aliases_are_never_emitted(self):
+        from repro.check.findings import DEPRECATED_RULES
+
+        findings = check(
+            """
+            import numpy as np
+            def fn(comm, s1, s2):
+                if comm.rank == 0:
+                    comm.barrier()
+                comm.send("x", 1, tag=3)
+                values = np.zeros((4, 4), dtype=np.int32)
+                return tabulate_slice_batched(values, s1, s2, 1, 2, None)
+            """
+        )
+        assert set(rules_of(findings)) == {"SPMD101", "SPMD201", "DTYPE101"}
+        assert not set(rules_of(findings)) & set(DEPRECATED_RULES)
