@@ -100,7 +100,7 @@ def test_prna_backend_wall_clock(benchmark, backend):
 # ----------------------------------------------------------------------
 # Synchronization granularity under executed virtual time
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("sync_mode", ["row", "pair"])
+@pytest.mark.parametrize("sync_mode", ["row", "dataflow"])
 def test_sync_granularity_virtual(benchmark, sync_mode):
     structure = contrived_worst_case(100)
     cost_model = CostModel()

@@ -13,10 +13,8 @@ JSON/SARIF output, content-hash incremental caching, a baseline ratchet
 and a nonzero exit code on findings):
 
 * **static, per-module** (:mod:`repro.check.rules`) — an AST linter for
-  the two properties no interprocedural pass covers: writes through
-  wrapped memo handles outside the owned partition (``SPMD003``) and
-  run-scoped machinery built outside the execution context
-  (``ARCH001``);
+  the one property no interprocedural pass covers: run-scoped machinery
+  built outside the execution context (``ARCH001``);
 * **static, whole-program** (:mod:`repro.check.protocol`)
   — a rank-symbolic interprocedural interpreter that extracts each
   abstract rank's communication schedule and proves collective agreement

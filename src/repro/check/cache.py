@@ -4,10 +4,8 @@ Real analyzers are run on every save; the protocol and dataflow passes
 are whole-program and therefore super-linear in tree size, so re-running
 them on an unchanged tree has to be near-free.  The cache stores, per
 analyzed file, the SHA-256 of its contents plus the per-module findings
-produced for it, and — because SPMD003 also tracks handles returned
-through helpers in other files — a **project signature** hashing the
-call graph's shm factories.  A per-file entry is reused only when both
-its content hash and the project signature match.
+produced for it.  The per-module rule reads nothing but its own file, so
+a per-file entry is reused whenever its content hash matches.
 
 Protocol and dataflow findings are whole-program by construction, so they
 are keyed by the **tree hash** (hash of every file's content hash plus
@@ -22,8 +20,9 @@ The cache file is JSON under ``.repro-check-cache.json`` next to the
 tree being analyzed (or an explicit ``--cache PATH``); a version bump in
 :data:`CACHE_VERSION` invalidates old caches wholesale, and a file that
 does not have the expected shape is treated as an empty cache.  Rule
-catalog changes need no manual bump: the catalog's content hash is part
-of both the tree hash and the project signature.
+catalog changes need no manual bump: a cache written under another
+rule-set version is discarded on load, and the version is part of the
+tree hash.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.check.findings import RULESET_VERSION, Finding
 
 __all__ = ["CheckCache", "file_sha", "CACHE_VERSION"]
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 DEFAULT_CACHE_NAME = ".repro-check-cache.json"
 
@@ -72,7 +71,10 @@ class CheckCache:
         try:
             with open(self.cache_path, encoding="utf-8") as handle:
                 data = json.load(handle)
-            if data["version"] != CACHE_VERSION:
+            if (
+                data["version"] != CACHE_VERSION
+                or data["rules"] != RULESET_VERSION
+            ):
                 return self._empty()
             for entry in data["files"].values():
                 if not isinstance(entry["sha"], str):
@@ -87,22 +89,13 @@ class CheckCache:
     def _empty() -> dict:
         return {
             "version": CACHE_VERSION,
-            "project_sig": None,
+            "rules": RULESET_VERSION,
             "tree_sha": None,
             "files": {},
             "program": [],
         }
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def project_signature(index) -> str:
-        """Hash of the interprocedural facts per-file findings depend on."""
-        digest = hashlib.sha256()
-        digest.update(f"rules:{RULESET_VERSION};".encode())
-        for name in sorted(index.shm_factories):
-            digest.update(f"factory:{name};".encode())
-        return digest.hexdigest()
-
     @staticmethod
     def tree_sha(shas: dict[str, str]) -> str:
         """One digest over every (path, sha) pair plus the rule-set version."""
@@ -136,13 +129,8 @@ class CheckCache:
         self.hits += len(shas)
         return findings
 
-    def lookup_file(
-        self, path: str, sha: str, project_sig: str
-    ) -> list[Finding] | None:
-        """Cached per-file findings when the file and project match."""
-        if self._data.get("project_sig") != project_sig:
-            self.misses += 1
-            return None
+    def lookup_file(self, path: str, sha: str) -> list[Finding] | None:
+        """Cached per-file findings when the file's content hash matches."""
         entry = self._data["files"].get(path)
         if entry is None or entry["sha"] != sha:
             self.misses += 1
@@ -154,7 +142,6 @@ class CheckCache:
     def store(
         self,
         shas: dict[str, str],
-        project_sig: str,
         per_file: dict[str, list[Finding]],
         program: list[Finding],
     ) -> None:
@@ -166,7 +153,7 @@ class CheckCache:
         """
         self._data = {
             "version": CACHE_VERSION,
-            "project_sig": project_sig,
+            "rules": RULESET_VERSION,
             "tree_sha": self.tree_sha(shas),
             "files": {
                 path: {

@@ -23,11 +23,6 @@ __all__ = [
 
 #: Static rule catalog: ID -> one-line summary.
 RULES: dict[str, str] = {
-    "SPMD003": (
-        "write through a DenseMemoTable.wrap handle outside an "
-        "owned-partition guard (the cell belongs to another rank, whose "
-        "own write races this one)"
-    ),
     "ARCH001": (
         "direct construction of communicators/Tracer/wrapped memo tables "
         "outside repro.runtime.context (route through ExecutionContext so "
@@ -153,7 +148,7 @@ def _ruleset_version() -> str:
 #: Version tag of the enabled rule set (content hash of the catalog).
 RULESET_VERSION = _ruleset_version()
 
-#: ``# noqa`` / ``# noqa: SPMD101, SPMD003`` on the flagged line.
+#: ``# noqa`` / ``# noqa: SPMD101, ARCH001`` on the flagged line.
 _NOQA_RE = re.compile(
     r"#\s*noqa\b(?::?\s*(?P<codes>[A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*))?",
 )
@@ -182,7 +177,7 @@ def is_suppressed(rule: str, source_line: str) -> bool:
     """Whether *source_line* carries a ``# noqa`` comment covering *rule*.
 
     A bare ``# noqa`` suppresses every rule on that line; ``# noqa:
-    SPMD101, SPMD003`` suppresses only the listed rules.  Anything after
+    SPMD101, ARCH001`` suppresses only the listed rules.  Anything after
     the code list (an em-dash rationale, say) is ignored.
 
     A deprecated alias keeps suppressing its canonical rules: ``# noqa:

@@ -37,10 +37,9 @@ Rule families over the schedules:
   :func:`repro.analysis.depgraph.arc_dependency_pairs`) on a set of
   nested sample structures: ``SCHED001`` when the declared publication
   order publishes a dependency after its reader, ``SCHED002`` when a
-  schedule that claims soundness publishes nothing intra-stage,
-  ``SCHED003`` when a declaration is inconsistent with the registry's
-  name catalog.  This is the gate a future async dataflow executor's
-  declared cell-publication order must pass.
+  schedule publishes nothing intra-stage, ``SCHED003`` when a
+  declaration is inconsistent with the registry's name catalog.  The
+  dataflow executor's declared cell-publication order passes this gate.
 """
 
 from __future__ import annotations
@@ -835,8 +834,7 @@ def check_declared_schedules(declarations) -> list[tuple]:
 
     Returns ``(declaration, verdict, detail)`` tuples where *verdict* is
     one of ``"ok"``, ``"illegal-order"``, ``"no-publication"``,
-    ``"inconsistent"``.  Declarations that do not claim soundness are
-    skipped (the ``deferred`` ablation is *documented* as unsound).
+    ``"inconsistent"``.
     """
     from repro.analysis.depgraph import arc_dependency_pairs
     from repro.structure.dotbracket import from_dotbracket
@@ -861,8 +859,6 @@ def _verdict_of(decl, arc_dependency_pairs, from_dotbracket):
             f"declaration {decl.key!r} names an executor/sync mode the "
             "registry does not know",
         )
-    if not decl.claims_sound:
-        return ("ok", "declared unsound; skipped")
     if decl.publishes == "none":
         return (
             "no-publication",

@@ -7,7 +7,7 @@ Used three ways, all sharing one option set (:func:`add_arguments`) and
 * the ``repro-check`` console script
 * the ``repro-rna check`` subcommand
 
-Every run is the full checker: the per-module rules (SPMD003, ARCH001),
+Every run is the full checker: the per-module rule (ARCH001),
 the interprocedural protocol verifier (:mod:`repro.check.protocol`:
 SPMD1xx collective agreement, SPMD2xx cross-module tag matching,
 SCHED0xx schedule legality) and the numeric dataflow verifier
@@ -116,12 +116,9 @@ def _by_location(finding: Finding) -> tuple:
 def _module_findings(
     index: ProjectIndex, path: str, source: str
 ) -> list[Finding]:
-    """The per-module rules over one indexed file, ``# noqa`` applied."""
+    """The per-module rule over one indexed file, ``# noqa`` applied."""
     tree = index.modules[path].tree
-    raw = analyze_module(
-        tree, path, shm_factories=frozenset(index.shm_factories)
-    )
-    return _filter_noqa(raw, source.splitlines(), tree)
+    return _filter_noqa(analyze_module(tree, path), source.splitlines(), tree)
 
 
 def _program_findings(
@@ -129,7 +126,7 @@ def _program_findings(
 ) -> list[Finding]:
     """The protocol and dataflow passes over every indexed module.
 
-    ``# noqa`` comments are honoured per file, as for per-module rules.
+    ``# noqa`` comments are honoured per file, as for the per-module rule.
     """
     from repro.check.costs import analyze_costs
     from repro.check.dataflow import analyze_dataflow
@@ -155,7 +152,7 @@ def _program_findings(
 def analyze_source(source: str, path: str = "<string>") -> list[Finding]:
     """Run every rule over one source as a one-module program.
 
-    The per-module rules, the protocol pass and the dataflow pass all
+    The per-module rule, the protocol pass and the dataflow pass all
     see just this module; ``# noqa`` comments are honoured.  Raises
     :class:`SyntaxError` if *source* does not parse.
     """
@@ -190,8 +187,8 @@ def analyze_project(
 ) -> tuple[list[Finding], int]:
     """All findings under *paths* plus the file count.
 
-    The per-module rules run with call-graph shm factories (SPMD003);
-    the protocol and dataflow passes run over every file at once.
+    The per-module rule runs file by file; the protocol and dataflow
+    passes run over every file at once.
     *cache* is an optional :class:`repro.check.cache.CheckCache`.
     Raises :class:`UnicodeError` naming a file that is not UTF-8.
     """
@@ -215,22 +212,18 @@ def analyze_project(
     index = ProjectIndex(
         {name: ast.parse(sources[name], filename=name) for name in files}
     )
-    project_sig = None
-    if cache is not None:
-        project_sig = cache.project_signature(index)
-
     per_file: dict[str, list[Finding]] = {}
     for filename in files:
         cached = None
         if cache is not None:
-            cached = cache.lookup_file(filename, shas[filename], project_sig)
+            cached = cache.lookup_file(filename, shas[filename])
         if cached is None:
             cached = _module_findings(index, filename, sources[filename])
         per_file[filename] = cached
     program = _program_findings(index, sources)
 
     if cache is not None:
-        cache.store(shas, project_sig, per_file, program)
+        cache.store(shas, per_file, program)
     findings = [f for fs in per_file.values() for f in fs] + program
     return sorted(findings, key=_by_location), len(files)
 
@@ -416,8 +409,8 @@ def run_check(
 #: One-paragraph description shared by ``repro-check`` and
 #: ``repro-rna check``.
 DESCRIPTION = (
-    "SPMD static analysis for the PRNA stack: per-module rules "
-    "SPMD003/ARCH001, protocol rules SPMD1xx/SPMD2xx/SCHED0xx and numeric "
+    "SPMD static analysis for the PRNA stack: per-module rule "
+    "ARCH001, protocol rules SPMD1xx/SPMD2xx/SCHED0xx and numeric "
     "dataflow rules DTYPE1xx/SHAPE1xx/COST0xx, all on every run "
     "(see docs/static-analysis.md)"
 )

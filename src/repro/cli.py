@@ -309,8 +309,8 @@ def main(argv: list[str] | None = None) -> int:
     compare.add_argument(
         "--sync-mode", default=AUTO, dest="sync_mode",
         choices=(*SYNC_MODES, AUTO),
-        help="PRNA stage-one schedule ('row' barrier, 'dataflow' "
-        "point-to-point, ...), or 'auto' (default) to let the planner "
+        help="PRNA stage-one schedule ('row' barrier or 'dataflow' "
+        "point-to-point), or 'auto' (default) to let the planner "
         "price both against the calibrated cost model",
     )
     compare.add_argument(

@@ -17,8 +17,8 @@ and quantifies the alternative:
 * :func:`scheduling_scheme` — static greedy vs manager-worker dynamic
   balancing (the HiCOMB 2009 contrast of Section II).
 * :func:`collectives` — allreduce algorithm choice under the cost model.
-* :func:`sync_granularity` — per-row (paper) vs per-pair synchronization:
-  simulated stage-one cost.
+* :func:`sync_granularity` — row barrier (paper) vs dataflow stage one:
+  executed virtual-time cost.
 * :func:`backends` — thread vs process wall-clock on real executions (the
   GIL demonstration).
 * :func:`lockfree_baseline` — redundancy of the randomized top-down
@@ -293,11 +293,14 @@ def collectives(length: int = 3200, n_ranks: int = 64) -> ExperimentRecord:
 
 
 def sync_granularity(length: int = 200, n_ranks: int = 4) -> ExperimentRecord:
-    """Per-row (paper) vs per-pair synchronization, executed virtual time."""
+    """Row barrier (paper) vs dataflow stage one, executed virtual time.
+
+    These are the two schedules the planner chooses between.
+    """
     structure = contrived_worst_case(length)
     cost_model = CostModel(DEFAULT_CLUSTER)
     rows = []
-    for mode in ("row", "pair"):
+    for mode in ("row", "dataflow"):
         result = prna(
             structure, structure, n_ranks,
             backend="thread", sync_mode=mode,
@@ -320,8 +323,9 @@ def sync_granularity(length: int = 200, n_ranks: int = 4) -> ExperimentRecord:
         "ablation_sync_granularity", "Section V-B",
         {"length": length, "n_ranks": n_ranks}, rows, rendered,
         notes=(
-            "Per-pair synchronization multiplies the collective count by "
-            "|S2|; per-row is the paper's design."
+            "The row barrier pays one Allreduce per outer arc and waits "
+            "for the slowest rank every row; dataflow publishes only the "
+            "cells later arcs read, point to point."
         ),
     )
 

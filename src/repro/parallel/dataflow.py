@@ -154,7 +154,6 @@ def dataflow_stage_one(
     comm: Communicator,
     s1: Structure,
     s2: Structure,
-    sync_mode: str,
     state: StageOneState,
 ) -> DataflowPlan:
     """Dependency-driven stage one: publish cells, await wait-sets.

@@ -55,18 +55,7 @@ __all__ = [
     "prna_rank",
     "prna",
     "SYNC_MODES",
-    "STAGE_ONE_EXECUTORS",
 ]
-
-#: Sync mode -> stage-one executor (documentation/introspection map; the
-#: dispatch in :func:`prna_rank` is an explicit conditional so the
-#: protocol verifier can inline the executor it actually runs).
-STAGE_ONE_EXECUTORS = {
-    "row": row_barrier_stage_one,
-    "pair": row_barrier_stage_one,
-    "deferred": row_barrier_stage_one,
-    "dataflow": dataflow_stage_one,
-}
 
 
 @dataclass
@@ -124,17 +113,12 @@ def prna_rank(
         ``False`` is accepted (:class:`ValueError` otherwise).  Row
         synchronization always reduces over the communicator.
     sync_mode:
-        ``"row"`` is the paper's algorithm.  ``"pair"`` synchronizes after
-        every slice (correct but chatty — the granularity ablation).
-        ``"dataflow"`` replaces the per-row collective with
-        dependency-driven point-to-point cell publication
-        (:mod:`repro.parallel.dataflow`): each rank awaits exactly the
-        remote cells its wait-set demands and publishes completed owned
-        cells with adaptive coalescing — no global barrier; bit-identical
-        scores and (on rank 0) memo tables.  ``"deferred"`` skips
-        intra-stage synchronization entirely; it is **incorrect** for
-        multi-rank worlds and exists so the failure tests can demonstrate
-        both the wrong answers and their detection via ``validate=True``.
+        ``"row"`` is the paper's algorithm.  ``"dataflow"`` replaces the
+        per-row collective with dependency-driven point-to-point cell
+        publication (:mod:`repro.parallel.dataflow`): each rank awaits
+        exactly the remote cells its wait-set demands and publishes
+        completed owned cells with adaptive coalescing — no global
+        barrier; bit-identical scores and (on rank 0) memo tables.
     charge:
         ``None``, ``"measured"`` (per-thread CPU time) or ``"analytic"``
         (work model seconds) — feeds the communicator's virtual clock.
@@ -240,8 +224,6 @@ def prna_rank(
     owned_cols = s2.lefts[owned_arr] + 1
     # With a batch-capable engine the owned-column loop becomes one
     # batch per outer arc: the rank's partition defines the batch.
-    # (The "pair" ablation needs a collective per arc pair, so it
-    # keeps the per-slice loop.)
     state = StageOneState(
         values=values,
         partition=partition,
@@ -260,9 +242,9 @@ def prna_rank(
 
     # ------------------------------------------------------------------
     # Stage one, behind the schedule abstraction: the paper's row
-    # barrier (plus its pair/deferred ablations) or the dependency-driven
-    # dataflow executor.  Explicit dispatch (not a registry lookup) so
-    # the protocol verifier inlines the executor that actually runs.
+    # barrier or the dependency-driven dataflow executor.  Explicit
+    # dispatch (not a registry lookup) so the protocol verifier inlines
+    # the executor that actually runs.
     # ------------------------------------------------------------------
     stage_ctx = inst.stage("stage_one") if inst is not None else None
     if stage_ctx is not None:
@@ -270,9 +252,9 @@ def prna_rank(
     dataflow_plan = None
     try:
         if sync_mode == "dataflow":
-            dataflow_plan = dataflow_stage_one(comm, s1, s2, sync_mode, state)
+            dataflow_plan = dataflow_stage_one(comm, s1, s2, state)
         else:
-            row_barrier_stage_one(comm, s1, s2, sync_mode, state)
+            row_barrier_stage_one(comm, s1, s2, state)
     finally:
         if stage_ctx is not None:
             stage_ctx.__exit__(None, None, None)
@@ -309,7 +291,7 @@ def prna_rank(
             if any(d != digests[0] for d in digests):
                 raise CommunicatorError(
                     "memoization tables diverged across ranks after stage "
-                    f"one — synchronization scheme {sync_mode!r} is unsound"
+                    "one — the row synchronization lost or corrupted cells"
                 )
 
     # ------------------------------------------------------------------

@@ -189,11 +189,10 @@ class PRNASimulator:
     ) -> SimulationReport:
         """The PRNA cost model: per-stage terms of one configuration.
 
-        *schedule* is the stage-one ``sync_mode``.  The barrier schedules
-        (``row``, ``pair``) finish every row together, so their compute
-        term sums the per-row rank maximum; the barrier-free schedules
-        (``dataflow``, ``deferred``) only wait for the slowest rank's
-        total.  Unlike :meth:`simulate` this never
+        *schedule* is the stage-one ``sync_mode``.  The ``row`` barrier
+        finishes every row together, so its compute term sums the per-row
+        rank maximum; the barrier-free ``dataflow`` schedule only waits
+        for the slowest rank's total.  Unlike :meth:`simulate` this never
         rejects a world size above the cluster's cores: such ranks are
         priced through its contention factor, as the runtime planner needs.
         """
@@ -252,7 +251,7 @@ class PRNASimulator:
                 float(loads.max() / mean_load) if mean_load > 0 else 1.0
             )
 
-        if schedule in ("row", "pair"):
+        if schedule == "row":
             compute_seconds = float(costs.max(axis=1).sum())
         else:
             compute_seconds = float(costs.sum(axis=0).max())
@@ -283,8 +282,8 @@ class PRNASimulator:
     ) -> float:
         """Stage-one communication on the critical path of *schedule*.
 
-        The collective schedules pay one ``Allreduce`` of an ``m``-element
-        memo row per outer arc (``row``) or per arc pair (``pair``).
+        The ``row`` schedule pays one ``Allreduce`` of an ``m``-element
+        memo row per outer arc.
 
         The dataflow schedule pays point-to-point traffic: per arc with a
         reader, every consumer receives its column segment (``~n2/P``
@@ -296,7 +295,7 @@ class PRNASimulator:
         ``sync_overhead`` -- the term that makes the row barrier expensive
         on latency-bound transports.
         """
-        if n_ranks <= 1 or schedule == "deferred":
+        if n_ranks <= 1:
             return 0.0
         if schedule == "dataflow":
             # Arcs some later arc depends on: the union of inner ranges.
@@ -315,9 +314,8 @@ class PRNASimulator:
                 + publications * seg_bytes * self.cluster.beta
                 + (n_ranks - 1) * self.cost_model.p2p(s1.n_arcs * seg_bytes)
             )
-        collectives = s1.n_arcs * (s2.n_arcs if schedule == "pair" else 1)
         row_bytes = max(s2.length, 1) * self.dtype_bytes
-        return collectives * self.cost_model.allreduce(
+        return s1.n_arcs * self.cost_model.allreduce(
             n_ranks, row_bytes, self.allreduce_algorithm
         )
 

@@ -55,13 +55,6 @@ class WorkModel:
         return cls()
 
     # ------------------------------------------------------------------
-    def pair_seconds(self, inside1_p: int, inside2_q: int) -> float:
-        """Cost of the child slice for one arc pair."""
-        return (
-            self.seconds_per_cell * inside1_p * inside2_q
-            + self.seconds_per_slice
-        )
-
     def row_seconds(
         self,
         inside1_a: int,

@@ -80,10 +80,10 @@ BACKENDS = ("self", "thread", "process")
 #: Column partitioners (static load balancing strategies).
 PARTITIONER_NAMES = tuple(sorted(PARTITIONERS))
 
-#: PRNA synchronization granularities (``"row"`` is the paper's;
+#: PRNA stage-one schedules (``"row"`` is the paper's per-row barrier;
 #: ``"dataflow"`` is the dependency-driven point-to-point schedule of
 #: :mod:`repro.parallel.dataflow`, no intra-stage collectives at all).
-SYNC_MODES = ("row", "pair", "deferred", "dataflow")
+SYNC_MODES = ("row", "dataflow")
 
 #: Algorithms that take a slice engine at all (``srna1`` recurses through
 #: its own memo probes; ``topdown``/``dense`` are cell-level baselines).
@@ -104,14 +104,14 @@ class ScheduleDeclaration:
     """An executor's declared memo-cell publication schedule.
 
     The static protocol verifier (``repro.check.protocol``, rule family
-    SCHED0xx) checks every declaration that *claims soundness* against
-    the recurrence's actual ``d1``/``d2`` dependency pairs
+    SCHED0xx) checks every declaration against the recurrence's actual
+    ``d1``/``d2`` dependency pairs
     (:func:`repro.analysis.depgraph.arc_dependency_pairs`): the declared
     ``order`` must publish each dependency arc strictly before every arc
-    that reads it.  This is the merge gate for ROADMAP item 3's async
-    dataflow executor — a new executor registers its schedule here and
-    the checker proves (or refutes) its legality at check time instead
-    of as an SAN202 divergence at runtime.
+    that reads it, and a declaration that publishes ``"none"`` is
+    refuted outright (SCHED002).  A new executor registers its schedule
+    here and the checker proves (or refutes) its legality at check time
+    instead of as an SAN202 divergence at runtime.
 
     ``key``
         ``"<executor>:<sync_mode>"`` — both halves must exist in the
@@ -120,22 +120,17 @@ class ScheduleDeclaration:
         Dotted name of the SPMD entry point implementing the schedule.
     ``publishes``
         What crosses the rank boundary per stage: ``"row"`` (a memo row
-        per S1 arc), ``"pair"``, or ``"none"``.
+        per S1 arc), ``"cells"`` (point-to-point segments), or ``"none"``.
     ``order``
         The arc publication order: ``"right-endpoint"`` is the paper's
         (identical to arc index order, provably legal); anything else is
         checked sample-by-sample.
-    ``claims_sound``
-        Declarations with ``False`` are documented ablations (the
-        ``deferred`` mode trades soundness for a measurement) and are
-        skipped by the legality checker.
     """
 
     key: str
     entry: str
     publishes: str
     order: str
-    claims_sound: bool = True
 
 
 _SCHEDULES: dict[str, ScheduleDeclaration] = {}
@@ -152,27 +147,13 @@ def executor_schedules() -> tuple[ScheduleDeclaration, ...]:
     return tuple(_SCHEDULES.values())
 
 
-# The shipped executors' schedules.  PRNA's row/pair modes publish in
+# The shipped executors' schedules.  PRNA's row barrier publishes in
 # right-endpoint (= arc index) order, the order under which the memo
-# dependency matrix is strictly lower-triangular; ``deferred`` publishes
-# nothing intra-stage and is declared unsound by design (it exists to
-# measure what the synchronization costs).
+# dependency matrix is strictly lower-triangular.
 declare_schedule(
     ScheduleDeclaration(
         key="prna:row", entry="repro.parallel.prna.prna_rank",
         publishes="row", order="right-endpoint",
-    )
-)
-declare_schedule(
-    ScheduleDeclaration(
-        key="prna:pair", entry="repro.parallel.prna.prna_rank",
-        publishes="pair", order="right-endpoint",
-    )
-)
-declare_schedule(
-    ScheduleDeclaration(
-        key="prna:deferred", entry="repro.parallel.prna.prna_rank",
-        publishes="none", order="right-endpoint", claims_sound=False,
     )
 )
 # The dataflow executor publishes *cells* (per-consumer row segments)

@@ -36,10 +36,20 @@ __all__ = [
 
 
 def _as_text_stream(source: str | os.PathLike | TextIO) -> tuple[TextIO, bool]:
-    """Return a readable text stream and whether we own (must close) it."""
+    """Return a readable text stream and whether we own (must close) it.
+
+    A path is read and decoded as UTF-8 up front, so a file that is not
+    UTF-8 text raises :class:`ParseError` naming it.
+    """
     if hasattr(source, "read"):
         return source, False  # type: ignore[return-value]
-    return open(os.fspath(source), "r", encoding="utf-8"), True
+    path = os.fspath(source)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None), True
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _pairs_to_structure(
@@ -248,8 +258,8 @@ def load_structure(path: str | os.PathLike) -> Structure:
     if ext in (".vienna", ".fold", ".dbn", ".fasta", ".fa"):
         return read_vienna(path)[1]
     # Fall back to sniffing: try vienna then bpseq.
-    with open(os.fspath(path), "r", encoding="utf-8") as handle:
-        text = handle.read()
+    stream, _ = _as_text_stream(path)
+    text = stream.read()
     try:
         return read_vienna(io.StringIO(text))[1]
     except ParseError:

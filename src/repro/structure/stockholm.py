@@ -25,6 +25,7 @@ from typing import TextIO
 
 from repro.errors import ParseError, PseudoknotError
 from repro.structure.arcs import Structure
+from repro.structure.io import _as_text_stream
 
 __all__ = ["StockholmAlignment", "read_stockholm", "wuss_to_structure"]
 
@@ -144,10 +145,7 @@ def read_stockholm(
     consensus are dropped by default (Rfam uses them routinely) — pass
     ``drop_pseudoknots=False`` to reject such families instead.
     """
-    if hasattr(source, "read"):
-        stream, owned = source, False
-    else:
-        stream, owned = open(os.fspath(source), "r", encoding="utf-8"), True
+    stream, owned = _as_text_stream(source)
     try:
         lines = stream.read().splitlines()
     finally:

@@ -4,7 +4,7 @@ Two tiers.  The classic per-module bugs:
 
 1. rank-0-only barrier          -> SPMD101 (static), SAN101/SAN103 (runtime)
 2. mismatched Allreduce dtypes  -> SAN102
-3. out-of-partition shm write   -> SPMD003 (static), SAN202 (runtime)
+3. out-of-partition memo write  -> SAN202 (runtime)
 4. swapped send/recv tags       -> SPMD201/SPMD202 (static), SAN104 (runtime)
 
 And the seeded *protocol* bugs — each one invisible to a single-module
@@ -126,21 +126,6 @@ class TestMismatchedAllreduceDtype:
 
 
 class TestOutOfPartitionWrite:
-    def test_static_detection(self):
-        # Substrate path: keeps the snippet out of ARCH001's scope so the
-        # fault stays a pure SPMD003 case.
-        findings = analyze_source(
-            textwrap.dedent(
-                """
-                def stage(comm, j):
-                    memo = DenseMemoTable.wrap(comm.allocate_shared((8, 8)))
-                    memo.values[1, j] = 5
-                """
-            ),
-            path="repro/mpi/snippet.py",
-        )
-        assert [f.rule for f in findings] == ["SPMD003"]
-
     def test_runtime_detection(self):
         def fn(comm):
             c = sanitized(comm)

@@ -475,19 +475,10 @@ class TestScheduleLegality:
 
     def test_claims_sound_but_publishes_nothing(self):
         (_, verdict, detail) = check_declared_schedules(
-            [ScheduleDeclaration("prna:pair", "e", "none", "right-endpoint")]
+            [ScheduleDeclaration("prna:row", "e", "none", "right-endpoint")]
         )[0]
         assert verdict == "no-publication"
         assert "stale" in detail
-
-    def test_declared_unsound_is_skipped(self):
-        verdicts = self.verdicts(
-            ScheduleDeclaration(
-                "prna:deferred", "e", "none", "right-endpoint",
-                claims_sound=False,
-            )
-        )
-        assert verdicts == {"prna:deferred/right-endpoint": "ok"}
 
     def test_unknown_executor_is_inconsistent(self):
         verdicts = self.verdicts(
@@ -519,7 +510,7 @@ class TestScheduleLegality:
                 ScheduleDeclaration(
                     "prna:row", "e", "row", "reverse-right-endpoint"
                 ),
-                ScheduleDeclaration("prna:pair", "e", "none",
+                ScheduleDeclaration("prna:row", "e", "none",
                                     "right-endpoint"),
                 ScheduleDeclaration("quantum:warp", "e", "row",
                                     "right-endpoint"),

@@ -15,12 +15,6 @@ def check(source: str, path: str = "snippet.py"):
     return analyze_source(textwrap.dedent(source), path=path)
 
 
-def check_substrate(source: str):
-    """Analyze as substrate code (exempt from ARCH001), so tests can
-    exercise the SPMD rules on raw communicator constructions."""
-    return check(source, path="repro/mpi/snippet.py")
-
-
 def rules_of(findings) -> list[str]:
     return [finding.rule for finding in findings]
 
@@ -196,62 +190,6 @@ class TestSPMD002:
         assert findings == []
 
 
-class TestSPMD003:
-    def test_unguarded_write_to_shared(self):
-        findings = check_substrate(
-            """
-            def fn(buffer, j):
-                table = DenseMemoTable.wrap(buffer)
-                table.values[0, j] = 1
-            """
-        )
-        assert rules_of(findings) == ["SPMD003"]
-
-    def test_owned_guarded_write_clean(self):
-        findings = check_substrate(
-            """
-            def fn(comm, buffer, partition):
-                table = DenseMemoTable.wrap(buffer)
-                owned = partition.tasks_of(comm.rank)
-                for b in owned:
-                    table.values[0, b] = 1
-            """
-        )
-        assert findings == []
-
-    def test_membership_guard_clean(self):
-        findings = check_substrate(
-            """
-            def fn(buffer, owned_set, b):
-                table = DenseMemoTable.wrap(buffer)
-                if b in owned_set:
-                    table.values[0, b] = 1
-            """
-        )
-        assert findings == []
-
-    def test_wrap_taints_and_store_flagged(self):
-        findings = check_substrate(
-            """
-            def fn(buffer):
-                memo = DenseMemoTable.wrap(buffer)
-                memo.store(0, 0, 5)
-            """
-        )
-        assert rules_of(findings) == ["SPMD003"]
-
-    def test_private_table_writes_clean(self):
-        findings = check(
-            """
-            import numpy as np
-            def fn(j):
-                table = np.zeros((4, 4))
-                table[0, j] = 1
-            """
-        )
-        assert findings == []
-
-
 class TestLexicalDTYPE101:
     # Once a lexical pattern (formerly SPMD004): the dataflow pass proves
     # these DTYPE101s, and `# noqa: SPMD004` keeps suppressing them.
@@ -406,8 +344,8 @@ class TestSuppression:
         assert is_suppressed("SPMD001", "comm.barrier()  # noqa")
 
     def test_listed_code(self):
-        line = "memo.store(0, 0, s)  # noqa: SPMD003"
-        assert is_suppressed("SPMD003", line)
+        line = "tracer = Tracer()  # noqa: ARCH001"
+        assert is_suppressed("ARCH001", line)
         assert not is_suppressed("SPMD001", line)
 
     def test_multiple_codes(self):
@@ -443,8 +381,7 @@ class TestDriver:
             "SPMD001",
             "SPMD002",
             "SPMD004",
-            # Per-module rules.
-            "SPMD003",
+            # Per-module rule.
             "ARCH001",
             # Interprocedural protocol rules.
             "SPMD101",
@@ -722,8 +659,7 @@ class TestBaseline:
 
 
 class TestProjectContext:
-    """Tag matching (SPMD201/SPMD202) and SPMD003 with whole-program
-    context."""
+    """Tag matching (SPMD201/SPMD202) with whole-program context."""
 
     def test_spmd002_augassign_tag(self):
         # TAG is built up with AugAssign; the folder must track it.
@@ -787,41 +723,6 @@ class TestProjectContext:
         findings, _ = analyze_project([str(tmp_path)])
         assert [f.rule for f in findings] == ["SPMD201", "SPMD202"]
         assert "tag 11" in findings[0].message
-
-    def test_spmd003_handle_through_helper(self, tmp_path):
-        # Regression: the handle is minted by a helper function, so the
-        # function-local taint never sees DenseMemoTable.wrap.  The call
-        # graph marks make_table as an shm factory and the write is
-        # flagged.  (This was a false negative before the project pass.)
-        from repro.check.static import analyze_project
-
-        (tmp_path / "mod.py").write_text(
-            "def make_table(buffer):\n"
-            "    return DenseMemoTable.wrap(buffer)\n"
-            "\n"
-            "def fn(buffer, j):\n"
-            "    table = make_table(buffer)\n"
-            "    table.values[0, j] = 1\n"
-        )
-        findings, _ = analyze_project([str(tmp_path)])
-        assert "SPMD003" in [f.rule for f in findings]
-
-    def test_spmd003_guarded_helper_handle_clean(self, tmp_path):
-        from repro.check.static import analyze_project
-
-        (tmp_path / "mod.py").write_text(
-            "def make_table(buffer):\n"
-            "    return DenseMemoTable.wrap(buffer)\n"
-            "\n"
-            "def fn(comm, buffer, partition):\n"
-            "    table = make_table(buffer)\n"
-            "    for b in partition.tasks_of(comm.rank):\n"
-            "        table.values[0, b] = 1\n"
-        )
-        findings, _ = analyze_project([str(tmp_path)])
-        # ARCH001 (a wrapped table built outside the context) still
-        # fires; the point is that the *guarded* write draws no SPMD003.
-        assert [f.rule for f in findings] == ["ARCH001"]
 
 
 class TestSuppressionTransparency:

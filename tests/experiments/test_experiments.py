@@ -154,14 +154,14 @@ class TestAblations:
         by_backend = {row["backend"]: row for row in record.rows}
         assert by_backend["dense"]["score"] == by_backend["sparse"]["score"]
 
-    def test_sync_granularity_row_cheaper(self):
+    def test_sync_granularity_dataflow_cheaper(self):
         record = ablations.sync_granularity(length=100, n_ranks=3)
         by_mode = {row["sync_mode"]: row for row in record.rows}
         assert (
-            by_mode["row"]["virtual_seconds"]
-            < by_mode["pair"]["virtual_seconds"]
+            by_mode["dataflow"]["virtual_seconds"]
+            < by_mode["row"]["virtual_seconds"]
         )
-        assert by_mode["row"]["score"] == by_mode["pair"]["score"]
+        assert by_mode["row"]["score"] == by_mode["dataflow"]["score"]
 
     def test_slice_engines_vectorized_faster(self):
         record = ablations.slice_engines(length=100)

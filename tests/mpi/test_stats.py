@@ -90,15 +90,3 @@ class TestPRNAPattern:
             assert counters["bcasts"] == 1  # the final score
             assert counters["sends"] == 0  # no point-to-point traffic
             assert counters["recvs"] == 0
-
-    def test_pair_sync_is_chattier(self):
-        structure = contrived_worst_case(24)
-
-        def fn(comm):
-            stats = comm.enable_stats()
-            prna_rank(comm, structure, structure, sync_mode="pair")
-            return stats.as_dict()
-
-        counters = run_threaded(fn, 2)[0]
-        # One collective per arc *pair*.
-        assert counters["allreduces"] == structure.n_arcs ** 2

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import solve
 from repro.core.srna2 import srna2
 from repro.errors import CommunicatorError, SimulationError
 from repro.mpi.costmodel import CostModel
-from repro.parallel.prna import prna, prna_rank
+from repro.mpi.inprocess import run_threaded
+from repro.parallel.prna import SYNC_MODES, prna, prna_rank
 from repro.structure.generators import (
     comb_structure,
     contrived_worst_case,
@@ -60,27 +62,64 @@ class TestEquivalenceWithSRNA2:
         assert result.score == 6
 
 
+class _Delegating:
+    """A communicator fake: forwards everything it does not override."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class _SilentAllreduce(_Delegating):
+    """Breaks the row barrier: every ``Allreduce`` leaves the row as is."""
+
+    def Allreduce(self, *args, **kwargs):
+        return None
+
+
+class _CorruptFinalBlock(_Delegating):
+    """Breaks dataflow consolidation: the final block arrives off by one."""
+
+    def Publish(self, key, payload, dest, **kwargs):
+        if key == ("final", self._inner.rank):
+            payload = payload + 1
+        return self._inner.Publish(key, payload, dest, **kwargs)
+
+
+def _run_broken(fake, sync_mode):
+    s = contrived_worst_case(30)
+
+    def rank_main(comm):
+        return prna_rank(fake(comm), s, s, sync_mode=sync_mode, validate=True)
+
+    return run_threaded(rank_main, 3)
+
+
 class TestSyncModes:
-    def test_pair_sync_correct(self):
-        s = contrived_worst_case(24)
-        result = prna(s, s, 2, backend="thread", sync_mode="pair",
-                      validate=True)
-        assert result.score == 12
+    def test_sync_modes_are_the_production_schedules(self):
+        assert SYNC_MODES == ("row", "dataflow")
 
-    def test_deferred_sync_wrong_and_detected(self):
-        """Skipping the per-row Allreduce makes ranks read stale zeros;
+    def test_validate_detects_skipped_row_allreduce(self):
+        """Without the per-row Allreduce ranks read stale zeros;
         validation must catch the divergent tables."""
-        s = contrived_worst_case(30)
         with pytest.raises(CommunicatorError, match="diverged"):
-            prna(s, s, 3, backend="thread", sync_mode="deferred",
-                 validate=True)
+            _run_broken(_SilentAllreduce, "row")
 
-    def test_deferred_sync_single_rank_harmless(self):
-        """With one rank there is nothing to synchronize."""
-        s = contrived_worst_case(20)
-        result = prna(s, s, 1, backend="thread", sync_mode="deferred",
-                      validate=True)
-        assert result.score == 10
+    def test_validate_detects_corrupt_dataflow_consolidation(self):
+        with pytest.raises(
+            CommunicatorError, match="dataflow consolidation diverged"
+        ):
+            _run_broken(_CorruptFinalBlock, "dataflow")
+
+    @pytest.mark.parametrize("mode", ["pair", "deferred"])
+    def test_removed_sync_modes_rejected(self, mode):
+        s = comb_structure(2, 2)
+        with pytest.raises(ValueError, match="'row', 'dataflow'"):
+            prna(s, s, 1, sync_mode=mode)
+        with pytest.raises(ValueError, match="'row', 'dataflow'"):
+            solve(s, s, sync_mode=mode)
 
     def test_unknown_sync_mode(self):
         s = comb_structure(2, 2)

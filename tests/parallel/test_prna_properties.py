@@ -26,12 +26,3 @@ def test_prna_always_matches_srna2(pair, n_ranks, partitioner):
     assert result.score == reference.score
     assert np.array_equal(result.memo.values, reference.memo.values)
 
-
-@given(pair=structure_pairs(max_arcs=5))
-@settings(max_examples=15, deadline=None)
-def test_pair_sync_matches_row_sync(pair):
-    s1, s2 = pair
-    row_mode = prna(s1, s2, 2, backend="thread", sync_mode="row")
-    pair_mode = prna(s1, s2, 2, backend="thread", sync_mode="pair")
-    assert row_mode.score == pair_mode.score
-    assert np.array_equal(row_mode.memo.values, pair_mode.memo.values)

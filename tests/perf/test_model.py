@@ -36,10 +36,6 @@ class TestPaperCalibration:
 
 
 class TestWorkModel:
-    def test_pair_seconds(self):
-        model = WorkModel(seconds_per_cell=2.0, seconds_per_slice=1.0)
-        assert model.pair_seconds(3, 4) == 25.0
-
     def test_row_seconds(self):
         model = WorkModel(seconds_per_cell=1.0, seconds_per_slice=0.5)
         s = contrived_worst_case(10)  # inside2 = [0,1,2,3,4]

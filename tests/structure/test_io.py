@@ -17,6 +17,7 @@ from repro.structure.io import (
     write_ct,
     write_vienna,
 )
+from repro.structure.stockholm import read_stockholm
 from tests.conftest import structures
 
 
@@ -150,3 +151,24 @@ class TestLoadStructure:
         path2 = tmp_path / "s2.dat"
         write_bpseq(sample, path2)
         assert load_structure(path2) == sample
+
+
+class TestUndecodableFiles:
+    """A file that is not UTF-8 text raises ParseError naming the path."""
+
+    @pytest.mark.parametrize(
+        "read, name",
+        [
+            (read_bpseq, "bad.bpseq"),
+            (read_ct, "bad.ct"),
+            (read_vienna, "bad.vienna"),
+            (read_stockholm, "bad.sto"),
+            (load_structure, "bad.bpseq"),
+            (load_structure, "bad.txt"),
+        ],
+    )
+    def test_invalid_bytes_raise_parse_error(self, read, name, tmp_path):
+        path = tmp_path / name
+        path.write_bytes(b"1 G 0\n2 \xff 0\n")
+        with pytest.raises(ParseError, match=name):
+            read(path)

@@ -6,9 +6,10 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ParseError, StructureError
+from repro.errors import ParseError, ReproError, StructureError
 from repro.structure.dotbracket import from_dotbracket
 from repro.structure.io import read_bpseq, read_ct, read_vienna
+from repro.structure.stockholm import read_stockholm, wuss_to_structure
 
 _EXPECTED = (ParseError, StructureError)
 
@@ -71,3 +72,51 @@ def test_bpseq_structured_fuzz(rows):
         assert str(exc)
         return
     assert structure.length >= 0
+
+
+# ----------------------------------------------------------------------
+# Stockholm: raw text, plus lines shaped like sequence and SS_cons rows
+# so the fuzzer reaches the width checks and the projection.
+# ----------------------------------------------------------------------
+_WUSS_CHARS = "<>()[]{}AaBb.,:_-~x"
+_STOCKHOLM_LINE = st.one_of(
+    st.text(max_size=40),
+    st.tuples(
+        st.sampled_from(["s1", "s2", "#=GS s1"]),
+        st.text(alphabet="ACGUacgu.-~_", max_size=20),
+    ).map(" ".join),
+    st.text(alphabet=_WUSS_CHARS, max_size=20).map("#=GC SS_cons ".__add__),
+    st.sampled_from(["//", "#=GF ID x", ""]),
+)
+
+
+@given(
+    st.one_of(
+        st.text(max_size=300),
+        st.lists(_STOCKHOLM_LINE, max_size=8).map("\n".join),
+    ),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_stockholm_never_crashes(text, drop_pseudoknots):
+    try:
+        alignment = read_stockholm(
+            io.StringIO("# STOCKHOLM 1.0\n" + text),
+            drop_pseudoknots=drop_pseudoknots,
+        )
+        for name in alignment.names:
+            alignment.project(name)
+    except ReproError:
+        pass
+
+
+@given(
+    st.one_of(st.text(max_size=200), st.text(alphabet=_WUSS_CHARS, max_size=60))
+)
+@settings(max_examples=150, deadline=None)
+def test_wuss_never_crashes(text):
+    try:
+        structure = wuss_to_structure(text)
+    except ReproError:
+        return
+    assert structure.length == len(text)

@@ -33,6 +33,19 @@ class TestCompare:
         assert main(["compare", "/nonexistent/file.xyz", "()"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.bpseq"
+        path.write_bytes(b"1 G 0\n2 \xff 0\n")
+        assert main(["compare", str(path), "()"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "bad.bpseq" in err
+
+    @pytest.mark.parametrize("mode", ["pair", "deferred"])
+    def test_removed_sync_modes_rejected(self, mode, capsys):
+        with pytest.raises(SystemExit):
+            main(["compare", "(())", "()", "--sync-mode", mode])
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_worst_case_stdout(self, capsys):
