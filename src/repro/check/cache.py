@@ -35,7 +35,7 @@ from repro.check.findings import RULESET_VERSION, Finding
 
 __all__ = ["CheckCache", "file_sha", "CACHE_VERSION"]
 
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 
 DEFAULT_CACHE_NAME = ".repro-check-cache.json"
 

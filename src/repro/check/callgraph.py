@@ -300,15 +300,6 @@ class ProjectIndex:
         return env
 
 
-def _receiver_root(node: ast.expr) -> str | None:
-    """Leftmost name of an attribute chain (``a.b.c`` -> ``a``)."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _dotted_suffixes(name: str) -> list[str]:
     """``a.b.c -> ["a.b.c", "b.c", "c"]`` (longest first)."""
     parts = name.split(".")

@@ -50,7 +50,6 @@ from repro.check.callgraph import (
     FunctionInfo,
     ModuleInfo,
     ProjectIndex,
-    _receiver_root,
 )
 from repro.check.findings import Finding
 from repro.check.lattice import (
@@ -87,27 +86,12 @@ _MAX_INLINE_DEPTH = 24
 _UNIFORM_META_KEYS = ("root", "op")
 
 COLLECTIVES = frozenset(
-    {
-        "barrier",
-        "bcast",
-        "allreduce",
-        "Allreduce",
-        "allgather",
-        "gather",
-        "scatter",
-        "reduce",
-    }
-)
-
-#: Receiver roots whose methods merely *look* like collectives
-#: (``np.maximum.reduce``, ``functools.reduce``, ...).
-_NON_COMM_ROOTS = frozenset(
-    {"np", "numpy", "functools", "operator", "itertools", "math"}
+    {"barrier", "bcast", "allreduce", "Allreduce", "allgather"}
 )
 
 #: Point-to-point method name -> positional index of its ``tag`` argument.
-_SEND_METHODS = {"send": 2, "isend": 2, "_send": 2}
-_RECV_METHODS = {"recv": 1, "irecv": 1, "_recv": 1, "_try_recv": 1}
+_SEND_METHODS = {"send": 2, "_send": 2}
+_RECV_METHODS = {"recv": 1, "_recv": 1, "_try_recv": 1}
 
 
 def _mentions_rank(node: ast.AST) -> bool:
@@ -391,7 +375,7 @@ class _Interpreter:
         """Emit events for every call inside *expr*, in source order.
 
         A conditional expression is walked as the ``if`` statement it
-        abbreviates, so ``comm.gather(x) if rank else None`` is a branch.
+        abbreviates, so ``comm.allgather(x) if rank else None`` is a branch.
         """
         for node in _calls_in_order(expr):
             if isinstance(node, ast.IfExp):
@@ -405,28 +389,26 @@ class _Interpreter:
         func = call.func
         if isinstance(func, ast.Attribute):
             name = func.attr
-            root = _receiver_root(func)
-            if root not in _NON_COMM_ROOTS:
-                if name == "Publish":
-                    out.append(self._publish_event(call, state))
-                    return
-                if name == "Await":
-                    out.append(self._await_event(call, state))
-                    return
-                if name == "flush_publications":
-                    # Transport-level flush of cells already buffered by
-                    # Publish: the Publish that queued each cell is the
-                    # schedule event, the flush carries no new ones.
-                    return
-                if name in COLLECTIVES:
-                    out.append(self._collective_event(call, name, state))
-                    return
-                if name in _SEND_METHODS:
-                    out.append(self._p2p_event(SendEvent, call, name, state))
-                    return
-                if name in _RECV_METHODS:
-                    out.append(self._p2p_event(RecvEvent, call, name, state))
-                    return
+            if name == "Publish":
+                out.append(self._publish_event(call, state))
+                return
+            if name == "Await":
+                out.append(self._await_event(call, state))
+                return
+            if name == "flush_publications":
+                # Transport-level flush of cells already buffered by
+                # Publish: the Publish that queued each cell is the
+                # schedule event, the flush carries no new ones.
+                return
+            if name in COLLECTIVES:
+                out.append(self._collective_event(call, name, state))
+                return
+            if name in _SEND_METHODS:
+                out.append(self._p2p_event(SendEvent, call, name, state))
+                return
+            if name in _RECV_METHODS:
+                out.append(self._p2p_event(RecvEvent, call, name, state))
+                return
         target = self.index.resolve_call(call, state.module, state.class_name)
         if target is None:
             return
@@ -447,7 +429,7 @@ class _Interpreter:
                     (keyword.arg, self._meta_value(keyword.value, state))
                 )
         # Positional reduce op: Allreduce(buffer, op) / allreduce(x, op).
-        if name in ("Allreduce", "allreduce", "reduce") and len(call.args) > 1:
+        if name in ("Allreduce", "allreduce") and len(call.args) > 1:
             meta.append(("op", self._meta_value(call.args[1], state)))
         for key, value in meta:
             if value[0] == TOP:

@@ -55,7 +55,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -232,10 +232,6 @@ class SanitizedCommunicator(Communicator):
         """Blocking-buffered send (point-to-point is not stamped)."""
         self._inner.send(obj, dest, tag)
 
-    def isend(self, obj: Any, dest: int, tag: int = 0):
-        """Nonblocking send, delegated to the wrapped communicator."""
-        return self._inner.isend(obj, dest, tag)
-
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive with a deadline: a message that never arrives
         (mismatched tags, dead peer) raises SAN104 instead of hanging."""
@@ -390,20 +386,10 @@ class SanitizedCommunicator(Communicator):
         self._validate_collective("bcast", root=root)
         return self._inner.bcast(obj, root)
 
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        """Validated gather (root cross-checked across ranks)."""
-        self._validate_collective("gather", root=root)
-        return self._inner.gather(obj, root)
-
     def allgather(self, obj: Any) -> list[Any]:
         """Validated allgather."""
         self._validate_collective("allgather")
         return self._inner.allgather(obj)
-
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        """Validated scatter (root cross-checked across ranks)."""
-        self._validate_collective("scatter", root=root)
-        return self._inner.scatter(objs, root)
 
     def allreduce(self, value: Any, op: ReduceOp = ReduceOp.SUM) -> Any:
         """Validated object allreduce (reduce op cross-checked)."""

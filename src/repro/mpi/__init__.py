@@ -2,22 +2,23 @@
 
 The paper implements PRNA with OpenMPI on a distributed-memory cluster.
 This environment is a single offline machine, so the substrate is built
-in-package (see DESIGN.md, substitutions): an mpi4py-flavoured
+in-package (see DESIGN.md, substitutions): an MPI-style
 :class:`~repro.mpi.communicator.Communicator` API with
 
 * a **thread backend** (:mod:`repro.mpi.inprocess`) — real concurrency,
   shared memory, GIL-bound compute (which is itself one of the repro's
   documented observations);
 * a **process backend** (:mod:`repro.mpi.process`) — real parallelism
-  across the GIL via ``multiprocessing`` pipes;
-* a **virtual clock** (:mod:`repro.mpi.virtualtime`) charged from measured
-  per-rank CPU time or analytic work models, combined with communication
-  **cost models** (:mod:`repro.mpi.costmodel`) so cluster-scale executions
-  can be simulated faithfully on one core.
+  across the GIL via ``multiprocessing`` pipes, whose NumPy ``Allreduce``
+  runs recursive doubling (:mod:`repro.mpi.reduce_algos`);
+* a **virtual clock** (:mod:`repro.mpi.virtualtime`) charged from analytic
+  work models, combined with communication **cost models**
+  (:mod:`repro.mpi.costmodel`) so cluster-scale executions can be
+  simulated faithfully on one core.
 
-Collective algorithms (linear, recursive doubling, ring) are implemented
-over abstract point-to-point sends in :mod:`repro.mpi.reduce_algos` and are
-shared by the backends and the cost models.
+The API is only what the SPMD programs call: PRNA's row ``Allreduce`` and
+final ``bcast``, the dataflow schedule's ``Publish``/``Await``, and the
+manager-worker tagged ``send``/``recv``.
 """
 
 from repro.mpi.communicator import Communicator, ReduceOp

@@ -1,11 +1,13 @@
-"""Abstract communicator — the mpi4py-flavoured API the backends implement.
+"""Abstract communicator — the MPI-style API the backends implement.
 
-Following mpi4py's convention, lowercase methods (``send``/``recv``/
-``bcast``/``allreduce``/``gather``/``scatter``) move arbitrary picklable
-Python objects, while the uppercase :meth:`Communicator.Allreduce` reduces a
-NumPy buffer **in place** — the primitive PRNA uses to synchronize each
-memoization-table row ("MPI_Allreduce with the beginning address of the row
-... using the MPI_MAX operation", Section V-B).
+Lowercase methods (``send``/``recv``/``bcast``/``allgather``/
+``allreduce``) move arbitrary picklable Python objects, while the
+uppercase :meth:`Communicator.Allreduce` reduces a NumPy buffer **in
+place** — the primitive PRNA uses to synchronize each memoization-table
+row ("MPI_Allreduce with the beginning address of the row ... using the
+MPI_MAX operation", Section V-B).  :meth:`Communicator.Publish` and
+:meth:`Communicator.Await` carry the dataflow schedule's point-to-point
+cell publications.
 
 Every communicator optionally carries a :class:`~repro.mpi.virtualtime
 .VirtualClock` and a :class:`~repro.mpi.costmodel.CostModel`; when present,
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -49,7 +51,6 @@ __all__ = [
     "Communicator",
     "CommStats",
     "ReduceOp",
-    "Request",
     "SelfCommunicator",
 ]
 
@@ -131,54 +132,6 @@ class CommStats:
         return f"CommStats({parts})"
 
 
-class Request:
-    """Handle for a nonblocking operation (mpi4py ``isend``/``irecv`` style).
-
-    ``wait()`` blocks until the operation completes and returns its value
-    (``None`` for sends); ``test()`` polls without blocking and returns
-    ``(done, value)``.
-    """
-
-    __slots__ = ("_comm", "_source", "_tag", "_done", "_value")
-
-    def __init__(
-        self,
-        comm: "Communicator | None" = None,
-        source: int | None = None,
-        tag: int = 0,
-        value: Any = None,
-        done: bool = False,
-    ):
-        self._comm = comm
-        self._source = source
-        self._tag = tag
-        self._done = done
-        self._value = value
-
-    @classmethod
-    def completed(cls, value: Any = None) -> "Request":
-        return cls(value=value, done=True)
-
-    def wait(self) -> Any:
-        """Block until complete; returns the received value (sends: None)."""
-        if not self._done:
-            assert self._comm is not None and self._source is not None
-            self._value = self._comm.recv(self._source, self._tag)
-            self._done = True
-        return self._value
-
-    def test(self) -> tuple[bool, Any]:
-        """Poll without blocking; returns ``(done, value)``."""
-        if self._done:
-            return True, self._value
-        assert self._comm is not None and self._source is not None
-        found, value = self._comm._try_recv(self._source, self._tag)
-        if found:
-            self._value = value
-            self._done = True
-        return self._done, self._value
-
-
 class Communicator(ABC):
     """SPMD communication endpoint for one rank."""
 
@@ -256,20 +209,6 @@ class Communicator(ABC):
             f"{type(self).__name__} does not support nonblocking receives"
         )
 
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> "Request":
-        """Nonblocking send.  Both backends buffer sends, so the operation
-        completes immediately; the :class:`Request` is returned for API
-        symmetry with MPI."""
-        self.send(obj, dest, tag)
-        return Request.completed()
-
-    def irecv(self, source: int, tag: int = 0) -> "Request":
-        """Nonblocking receive: returns a :class:`Request` to ``wait()`` on
-        or ``test()``."""
-        if not 0 <= source < self._size:
-            raise CommunicatorError(f"source {source} outside [0, {self._size})")
-        return Request(self, source, tag)
-
     @abstractmethod
     def _barrier(self) -> None:
         """Backend primitive: block until every rank has entered."""
@@ -304,36 +243,12 @@ class Communicator(ABC):
         self._charge_collective("bcast", 128)
         return values[root]
 
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        """Gather one object per rank at *root* (others get ``None``)."""
-        self._check_root(root)
-        values = self._exchange("gather", obj)
-        self._count_exchange()
-        self._charge_collective("bcast", 128)
-        return values if self._rank == root else None
-
     def allgather(self, obj: Any) -> list[Any]:
         """Gather one object per rank at every rank."""
         values = self._exchange("allgather", obj)
         self._count_exchange()
         self._charge_collective("allreduce", 128)
         return values
-
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        """Distribute ``objs[r]`` from *root* to each rank ``r``."""
-        self._check_root(root)
-        if self._rank == root:
-            if objs is None or len(objs) != self._size:
-                raise CommunicatorError(
-                    f"scatter at root needs exactly {self._size} items"
-                )
-            payload = list(objs)
-        else:
-            payload = None
-        values = self._exchange("scatter", payload)
-        self._count_exchange()
-        self._charge_collective("bcast", 128)
-        return values[root][self._rank]
 
     def allreduce(self, value: Any, op: ReduceOp = ReduceOp.SUM) -> Any:
         """Reduce scalars/objects across ranks; every rank gets the result."""
@@ -344,11 +259,6 @@ class Communicator(ABC):
         self._count_exchange()
         self._charge_collective("allreduce", 64)
         return result
-
-    def reduce(self, value: Any, op: ReduceOp = ReduceOp.SUM, root: int = 0) -> Any:
-        """Reduce to *root*; other ranks return ``None``."""
-        result = self.allreduce(value, op)
-        return result if self._rank == root else None
 
     def Allreduce(self, buffer: np.ndarray, op: ReduceOp = ReduceOp.MAX) -> None:
         """In-place elementwise reduction of a NumPy buffer across ranks.
@@ -367,10 +277,11 @@ class Communicator(ABC):
                 f"Allreduce mismatch across ranks: {shapes}"
             )
         contributions = self._exchange("Allreduce:data", buffer.copy())
-        result = contributions[0]
+        # Reduce into this rank's own buffer: the contributions are shared
+        # by every thread rank, so reducing into one of them races.
+        buffer[...] = contributions[0]
         for other in contributions[1:]:
-            apply_op(op, result, other, out=result)
-        buffer[...] = result
+            apply_op(op, buffer, other, out=buffer)
         if self.stats is not None:
             self.stats.allreduces += 1
             self.stats.allreduce_bytes += int(buffer.nbytes)

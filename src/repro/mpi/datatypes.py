@@ -1,14 +1,12 @@
-"""Reduction operations and message envelopes for the substrate."""
+"""Reduction operations for the substrate."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-__all__ = ["ReduceOp", "apply_op", "Message"]
+__all__ = ["ReduceOp", "apply_op"]
 
 
 class ReduceOp(enum.Enum):
@@ -20,35 +18,17 @@ class ReduceOp(enum.Enum):
     """
 
     MAX = "max"
-    MIN = "min"
     SUM = "sum"
-    PROD = "prod"
-
-    def identity(self, dtype: np.dtype) -> Any:
-        """Neutral element of the operator for the given dtype."""
-        if self is ReduceOp.MAX:
-            info = np.iinfo(dtype) if np.issubdtype(dtype, np.integer) else None
-            return info.min if info else -np.inf
-        if self is ReduceOp.MIN:
-            info = np.iinfo(dtype) if np.issubdtype(dtype, np.integer) else None
-            return info.max if info else np.inf
-        if self is ReduceOp.SUM:
-            return 0
-        return 1
 
 
 _ARRAY_OPS = {
     ReduceOp.MAX: np.maximum,
-    ReduceOp.MIN: np.minimum,
     ReduceOp.SUM: np.add,
-    ReduceOp.PROD: np.multiply,
 }
 
 _SCALAR_OPS = {
     ReduceOp.MAX: max,
-    ReduceOp.MIN: min,
     ReduceOp.SUM: lambda a, b: a + b,
-    ReduceOp.PROD: lambda a, b: a * b,
 }
 
 
@@ -61,13 +41,3 @@ def apply_op(op: ReduceOp, a, b, out=None):
         ufunc = _ARRAY_OPS[op]
         return ufunc(a, b, out=out) if out is not None else ufunc(a, b)
     return _SCALAR_OPS[op](a, b)
-
-
-@dataclass
-class Message:
-    """A point-to-point message in flight."""
-
-    source: int
-    dest: int
-    tag: int
-    payload: Any

@@ -7,9 +7,8 @@ through per-``(source, dest, tag)`` queues.
 Because of the GIL, pure-Python compute does **not** speed up across these
 threads — exactly the limitation the reproduction notes call out — but the
 backend provides (a) a *correctness* vehicle for PRNA's communication
-pattern, (b) measured per-rank CPU clocks (``time.thread_time``) feeding
-virtual-time simulation, and (c) real concurrency for NumPy kernels that
-release the GIL.
+pattern, (b) per-rank virtual clocks for simulated cluster timings, and
+(c) real concurrency for NumPy kernels that release the GIL.
 """
 
 from __future__ import annotations
@@ -120,14 +119,12 @@ def run_threaded(
     args: Sequence[Any] = (),
     *,
     cost_model: CostModel | None = None,
-    with_clocks: bool = False,
 ) -> list[Any]:
     """Run ``fn(comm, *args)`` on *size* thread-ranks; return all results.
 
-    With ``with_clocks=True`` each communicator carries a
-    :class:`VirtualClock` (``fn`` may charge compute; collectives charge the
-    *cost_model*), and results are returned as ``(value, simulated_time)``
-    pairs.
+    With a *cost_model* each communicator carries a :class:`VirtualClock`
+    (``fn`` may charge compute; collectives charge the model), and results
+    are returned as ``(value, simulated_time)`` pairs.
 
     Any rank raising aborts the whole world: the barrier is broken so peers
     unblock, and the first exception is re-raised in the caller.
@@ -137,7 +134,10 @@ def run_threaded(
     ctx = _SharedContext(size)
     results: list[Any] = [None] * size
     errors: list[BaseException | None] = [None] * size
-    clocks = [VirtualClock() if with_clocks else None for _ in range(size)]
+    clocks = [
+        VirtualClock() if cost_model is not None else None
+        for _ in range(size)
+    ]
 
     def worker(rank: int) -> None:
         comm = ThreadCommunicator(ctx, rank, clocks[rank], cost_model)
@@ -168,7 +168,7 @@ def run_threaded(
     for exc in errors:
         if exc is not None:
             raise exc
-    if with_clocks:
+    if cost_model is not None:
         return [
             (results[rank], clocks[rank].now)  # type: ignore[union-attr]
             for rank in range(size)

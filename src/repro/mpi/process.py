@@ -154,7 +154,6 @@ def _child_main(
     connections: dict[int, Any],
     result_conn,
     args: Sequence[Any],
-    use_clock: bool,
     cost_model: CostModel | None,
     foreign: Sequence[Any],
 ) -> None:
@@ -162,7 +161,7 @@ def _child_main(
     # so a peer's death reads as EOF here instead of a silent hang.
     for conn in foreign:
         conn.close()
-    clock = VirtualClock() if use_clock else None
+    clock = VirtualClock() if cost_model is not None else None
     comm = ProcessCommunicator(rank, size, connections, clock, cost_model)
     try:
         value = fn(comm, *args)
@@ -195,14 +194,13 @@ def run_multiprocess(
     args: Sequence[Any] = (),
     *,
     cost_model: CostModel | None = None,
-    with_clocks: bool = False,
     timeout: float = 300.0,
 ) -> list[Any]:
     """Run ``fn(comm, *args)`` on *size* process-ranks; return all results.
 
     Uses the ``fork`` start method (POSIX only) so *fn* and *args* need not
-    be picklable.  With ``with_clocks=True`` results are
-    ``(value, simulated_time)`` pairs.  Failures raise a
+    be picklable.  With a *cost_model* every rank carries a virtual clock
+    and results are ``(value, simulated_time)`` pairs.  Failures raise a
     :class:`CommunicatorError` naming the rank, in this order of
     precedence: a rank that exits without sending a result (killed by a
     signal, ``os._exit``) with its exit code or signal; a rank that raised,
@@ -236,7 +234,7 @@ def run_multiprocess(
             target=_child_main,
             args=(
                 fn, rank, size, ends[rank], result_pipes[rank][1], args,
-                with_clocks, cost_model, foreign,
+                cost_model, foreign,
             ),
             name=f"rank-{rank}",
         ))
@@ -291,6 +289,6 @@ def run_multiprocess(
                     " terminated"
                 )
             raise CommunicatorError(f"rank {rank} failed:\n{payload}")
-    if with_clocks:
+    if cost_model is not None:
         return [(payload, simulated) for _, payload, simulated in outcomes]
     return [payload for _, payload, _ in outcomes]

@@ -1,28 +1,26 @@
 """Per-rank virtual clocks for trace-driven simulation.
 
 Each rank owns a :class:`VirtualClock` that accumulates simulated seconds.
-Compute is charged either *measured* (the caller samples per-thread CPU time
-around a kernel) or *analytic* (a work model supplies the seconds).
-Collectives synchronize clocks: every participant advances to the maximum
-participant clock plus the collective's modelled cost — the fundamental
-rule that makes per-row Allreduce behave like the barrier it is.
+Compute is charged from an analytic work model
+(:class:`~repro.perf.model.WorkModel`).  Collectives synchronize clocks:
+every participant advances to the maximum participant clock plus the
+collective's modelled cost (:meth:`repro.mpi.communicator.Communicator
+._charge_collective`) — the fundamental rule that makes per-row Allreduce
+behave like the barrier it is.
 """
 
 from __future__ import annotations
 
-import time
-
-__all__ = ["VirtualClock", "sync_clocks"]
+__all__ = ["VirtualClock"]
 
 
 class VirtualClock:
     """Simulated-time accumulator for one rank."""
 
-    __slots__ = ("now", "_cpu_mark")
+    __slots__ = ("now",)
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._cpu_mark: float | None = None
 
     def charge(self, seconds: float) -> None:
         """Advance the clock by *seconds* of simulated work."""
@@ -34,33 +32,3 @@ class VirtualClock:
         """Move the clock forward to *instant* (no-op if already past)."""
         if instant > self.now:
             self.now = instant
-
-    # -- measured compute ------------------------------------------------
-    def start_measuring(self) -> None:
-        """Mark the start of a measured compute region (per-thread CPU)."""
-        self._cpu_mark = time.thread_time()
-
-    def stop_measuring(self, scale: float = 1.0) -> float:
-        """Charge the CPU time since :meth:`start_measuring`, times *scale*.
-
-        Returns the raw measured seconds.  *scale* applies contention or
-        slowdown factors from the cluster model.
-        """
-        if self._cpu_mark is None:
-            raise RuntimeError("stop_measuring called without start_measuring")
-        elapsed = time.thread_time() - self._cpu_mark
-        self._cpu_mark = None
-        self.charge(elapsed * scale)
-        return elapsed
-
-
-def sync_clocks(clocks: list[VirtualClock], cost: float) -> float:
-    """Synchronize participant clocks at a collective of the given *cost*.
-
-    All clocks advance to ``max(now) + cost``; the new common instant is
-    returned.
-    """
-    instant = max(clock.now for clock in clocks) + cost
-    for clock in clocks:
-        clock.advance_to(instant)
-    return instant

@@ -168,8 +168,7 @@ def dataflow_stage_one(
     inst = state.inst
     work_model = state.work_model
     span = state.span
-    measure_start = state.measure_start
-    measure_stop = state.measure_stop
+    charge = state.charge
     owned = state.owned
     owned_arr = state.owned_arr
     owned_cols = state.owned_cols
@@ -217,7 +216,6 @@ def dataflow_stage_one(
                 values[rows[d], cols] = got[("row", d)]
                 seen.add(d)
         row = values[i1 + 1]
-        mark = measure_start()
         with span("tabulate_row", "compute", row=i1 + 1, columns=len(owned)):
             if batch is not None:
                 row[owned_cols] = batch(
@@ -232,12 +230,8 @@ def dataflow_stage_one(
                         ranges=(r1, (int(inner2[b, 0]), int(inner2[b, 1]))),
                         instrumentation=inst,
                     )
-        analytic = (
-            work_model.row_seconds(int(inside1[a]), inside2, owned)
-            if work_model is not None
-            else 0.0
-        )
-        measure_stop(mark, analytic)
+        if work_model is not None:
+            charge(work_model.row_seconds(int(inside1[a]), inside2, owned))
         # Publish the completed owned cells to every consumer, in arc
         # (right-endpoint) order — the SCHED-verified publication order.
         if plan.has_reader[a]:

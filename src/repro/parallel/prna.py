@@ -23,14 +23,12 @@ The function is written in SPMD style against the abstract communicator, so
 the identical code runs on the thread backend, the process backend, and the
 trivial :class:`~repro.mpi.communicator.SelfCommunicator` (where it reduces
 to SRNA2 plus bookkeeping — an equivalence the tests assert).  Virtual-time
-charging is pluggable: ``charge="measured"`` samples per-thread CPU time
-around the compute, ``charge="analytic"`` uses the calibrated work model,
-``charge=None`` skips charging.
+charging is opt-in: ``charge="analytic"`` charges the calibrated work
+model's seconds to each rank's clock, ``charge=None`` skips charging.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +43,7 @@ from repro.parallel.dataflow import dataflow_stage_one
 from repro.parallel.schedule import StageOneState, row_barrier_stage_one
 from repro.perf.model import WorkModel
 from repro.runtime.context import ExecutionContext, sanitize_communicator
-from repro.runtime.registry import SYNC_MODES
+from repro.runtime.registry import SYNC_MODES, validate_choice
 from repro.scheduling.partition import PARTITIONERS, Partition
 from repro.scheduling.workload import column_weights
 from repro.structure.arcs import Structure
@@ -79,6 +77,19 @@ class PRNAResult:
 
     def __int__(self) -> int:
         return self.score
+
+
+def _validate_choices(
+    partitioner: str, engine: str, sync_mode: str, charge: str | None
+) -> None:
+    """Reject unknown names with a ``ValueError`` before any work starts."""
+    validate_choice("partitioner", partitioner)
+    validate_choice("engine", engine)
+    validate_choice("sync_mode", sync_mode)
+    if charge not in (None, "analytic"):
+        raise ValueError(
+            f"unknown charge policy {charge!r}; choose from (None, 'analytic')"
+        )
 
 
 def prna_rank(
@@ -120,8 +131,8 @@ def prna_rank(
         completed owned cells with adaptive coalescing — no global
         barrier; bit-identical scores and (on rank 0) memo tables.
     charge:
-        ``None``, ``"measured"`` (per-thread CPU time) or ``"analytic"``
-        (work model seconds) — feeds the communicator's virtual clock.
+        ``None`` or ``"analytic"`` (work model seconds) — feeds the
+        communicator's virtual clock.
     validate:
         After stage one, allgather a digest of the memo table and raise
         :class:`CommunicatorError` if ranks disagree (catches broken
@@ -148,8 +159,7 @@ def prna_rank(
         and every rank returns ``memo=None`` so no table travels back with
         the result.
     """
-    if sync_mode not in SYNC_MODES:
-        raise ValueError(f"unknown sync_mode {sync_mode!r}; one of {SYNC_MODES}")
+    _validate_choices(partitioner, engine, sync_mode, charge)
     if shared_memory:
         raise ValueError(
             "shared_memory=True is no longer supported: memo rows "
@@ -159,16 +169,9 @@ def prna_rank(
         comm = sanitize_communicator(
             comm, timeout=sanitize_timeout, tracer=tracer
         )
-    if charge not in (None, "measured", "analytic"):
-        raise ValueError(f"unknown charge policy {charge!r}")
     if charge == "analytic" and work_model is None:
         work_model = WorkModel.default()
-    try:
-        tabulate = ENGINES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown slice engine {engine!r}; available: {sorted(ENGINES)}"
-        ) from None
+    tabulate = ENGINES[engine]
 
     inst = instrumentation
     n, m = s1.length, s2.length
@@ -187,28 +190,15 @@ def prna_rank(
         def span(name: str, category: str, **args):
             return NULL_SPAN
 
-    def measure_start() -> float:
-        return time.thread_time() if charge == "measured" else 0.0
-
-    def measure_stop(mark: float, analytic_seconds: float) -> None:
-        if charge == "measured":
-            comm.charge_compute(time.thread_time() - mark)
-        elif charge == "analytic":
-            comm.charge_compute(analytic_seconds)
+    def charge_compute(seconds: float) -> None:
+        if charge == "analytic":
+            comm.charge_compute(seconds)
 
     # ------------------------------------------------------------------
     # Preprocessing: identical deterministic partition on every rank.
     # ------------------------------------------------------------------
-    mark = measure_start()
-    try:
-        build = PARTITIONERS[partitioner]
-    except KeyError:
-        raise ValueError(
-            f"unknown partitioner {partitioner!r}; "
-            f"available: {sorted(PARTITIONERS)}"
-        ) from None
     weights = column_weights(s1, s2)
-    partition = build(weights, comm.size)
+    partition = PARTITIONERS[partitioner](weights, comm.size)
     owned = partition.tasks_of(comm.rank)
     if out is not None and comm.rank == 0:
         memo = out
@@ -235,10 +225,10 @@ def prna_rank(
         inst=inst,
         work_model=work_model,
         span=span,
-        measure_start=measure_start,
-        measure_stop=measure_stop,
+        charge=charge_compute,
     )
-    measure_stop(mark, work_model.preprocessing_seconds(s1, s2) if work_model else 0.0)
+    if work_model is not None:
+        charge_compute(work_model.preprocessing_seconds(s1, s2))
 
     # ------------------------------------------------------------------
     # Stage one, behind the schedule abstraction: the paper's row
@@ -302,7 +292,6 @@ def prna_rank(
         stage_ctx.__enter__()
     try:
         if comm.rank == 0:
-            mark = measure_start()
             with span("parent_slice", "compute"):
                 score = int(
                     tabulate(
@@ -311,10 +300,8 @@ def prna_rank(
                         instrumentation=inst,
                     )
                 )
-            measure_stop(
-                mark,
-                work_model.parent_slice_seconds(s1, s2) if work_model else 0.0,
-            )
+            if work_model is not None:
+                charge_compute(work_model.parent_slice_seconds(s1, s2))
         else:
             score = -1
         with span("bcast_wait", "comm"):
@@ -378,6 +365,7 @@ def prna(
     only scores and counters cross the result pipes; the returned
     result's ``memo`` is that table.
     """
+    _validate_choices(partitioner, engine, sync_mode, charge)
     context = ExecutionContext(tracer=tracer, collect_stats=collect_stats)
     out = context.result_memo(s1.length, s2.length)
 

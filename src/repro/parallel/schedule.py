@@ -49,8 +49,8 @@ class StageOneState:
 
     Bundles everything beyond ``(comm, s1, s2)``: the memo
     buffer, the owned column partition, the slice engine, and the
-    observability hooks (``span`` yields tracer spans;
-    ``measure_start``/``measure_stop`` feed the virtual clock).  Built
+    observability hooks (``span`` yields tracer spans; ``charge`` feeds
+    modelled compute seconds to the virtual clock).  Built
     once by :func:`repro.parallel.prna.prna_rank` and handed to whichever
     executor the sync mode selects.
     """
@@ -65,8 +65,7 @@ class StageOneState:
     inst: Any
     work_model: Any
     span: Callable
-    measure_start: Callable
-    measure_stop: Callable
+    charge: Callable[[float], None]
 
 
 def row_barrier_stage_one(
@@ -87,8 +86,7 @@ def row_barrier_stage_one(
     inst = state.inst
     work_model = state.work_model
     span = state.span
-    measure_start = state.measure_start
-    measure_stop = state.measure_stop
+    charge = state.charge
     owned = state.owned
     owned_arr = state.owned_arr
     owned_cols = state.owned_cols
@@ -104,7 +102,6 @@ def row_barrier_stage_one(
         i1, j1 = lefts1[a], rights1[a]
         r1 = (int(inner1[a, 0]), int(inner1[a, 1]))
         row = values[i1 + 1]
-        mark = measure_start()
         with span("tabulate_row", "compute", row=i1 + 1, columns=len(owned)):
             if batch is not None:
                 row[owned_cols] = batch(
@@ -119,11 +116,7 @@ def row_barrier_stage_one(
                         ranges=(r1, (int(inner2[b, 0]), int(inner2[b, 1]))),
                         instrumentation=inst,
                     )
-        analytic = (
-            work_model.row_seconds(int(inside1[a]), inside2, owned)
-            if work_model is not None
-            else 0.0
-        )
-        measure_stop(mark, analytic)
+        if work_model is not None:
+            charge(work_model.row_seconds(int(inside1[a]), inside2, owned))
         with span("allreduce_wait", "comm", row=i1 + 1):
             comm.Allreduce(row, ReduceOp.MAX)

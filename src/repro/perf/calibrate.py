@@ -226,7 +226,15 @@ def _load_payload(path: str | None) -> dict | None:
 
 def load_calibration(path: str | None = None) -> ClusterSpec | None:
     """The calibrated :class:`ClusterSpec`, or ``None`` when absent/bad."""
-    payload = _load_payload(path)
+    return _cluster_from(_load_payload(path))
+
+
+def load_calibrated_work_model(path: str | None = None) -> WorkModel | None:
+    """The calibrated :class:`WorkModel`, or ``None`` when absent/bad."""
+    return _work_model_from(_load_payload(path))
+
+
+def _cluster_from(payload: dict | None) -> ClusterSpec | None:
     if payload is None or not isinstance(payload.get("cluster"), dict):
         return None
     known = {f.name for f in dataclass_fields(ClusterSpec)}
@@ -241,9 +249,7 @@ def load_calibration(path: str | None = None) -> ClusterSpec | None:
         return None
 
 
-def load_calibrated_work_model(path: str | None = None) -> WorkModel | None:
-    """The calibrated :class:`WorkModel`, or ``None`` when absent/bad."""
-    payload = _load_payload(path)
+def _work_model_from(payload: dict | None) -> WorkModel | None:
     if payload is None or not isinstance(payload.get("work_model"), dict):
         return None
     record = payload["work_model"]

@@ -210,15 +210,9 @@ class ExecutionContext:
                 return [(result, comm.simulated_time)]
             return [result]
         if backend == "thread":
-            return _RAW["threaded"](
-                body, n_ranks,
-                cost_model=cost_model, with_clocks=cost_model is not None,
-            )
+            return _RAW["threaded"](body, n_ranks, cost_model=cost_model)
         if backend == "process":
-            return _RAW["multiprocess"](
-                body, n_ranks,
-                cost_model=cost_model, with_clocks=cost_model is not None,
-            )
+            return _RAW["multiprocess"](body, n_ranks, cost_model=cost_model)
         raise ValueError(
             f"unknown backend {backend!r}; one of 'thread', 'process', 'self'"
         )

@@ -39,9 +39,12 @@ def main() -> int:
     print("predicted stages: " + ", ".join(
         f"{name} {seconds:.3g}" for name, seconds in worst.predicted_stages
     ) + "\n")
-    cluster, _ = planner._resolve_cluster(planner.hints.resolved_max_ranks())
+    record = planner._calibration()
+    cluster, _ = planner._resolve_cluster(
+        planner.hints.resolved_max_ranks(), record
+    )
     model = PRNASimulator(
-        cluster=cluster, work_model=planner._work_model(),
+        cluster=cluster, work_model=planner._work_model(record)[0],
         partitioner=worst.partitioner,
     ).price(large, large, worst.n_ranks, schedule=worst.sync_mode)
     if worst.estimated_seconds != model.total_seconds:

@@ -210,27 +210,37 @@ class Planner:
         self.threshold_seconds = float(threshold_seconds)
 
     # ------------------------------------------------------------------
-    def _work_model(self) -> WorkModel:
+    def _calibration(self) -> dict | None:
+        """The calibration record, read once per plan and only when a
+        hint leaves the work model or the cluster spec open."""
+        if self.hints.work_model is not None and self.hints.cluster is not None:
+            return None
+        from repro.perf.calibrate import _load_payload
+
+        return _load_payload(None)
+
+    def _work_model(self, record: dict | None) -> tuple[WorkModel, str]:
+        """The work model and a rationale-ready source note.
+
+        Preference order: the caller's model, the measured on-node
+        calibration *record*, and the paper's calibration.
+        """
         if self.hints.work_model is not None:
-            return self.hints.work_model
-        from repro.perf.calibrate import load_calibrated_work_model
+            return self.hints.work_model, "caller calibration"
+        from repro.perf.calibrate import _work_model_from
 
-        return load_calibrated_work_model() or WorkModel.default()
+        measured = _work_model_from(record)
+        if measured is not None:
+            return measured, "measured on-node calibration"
+        return WorkModel.default(), "paper calibration"
 
-    def _work_model_source(self) -> str:
-        if self.hints.work_model is not None:
-            return "caller calibration"
-        from repro.perf.calibrate import load_calibrated_work_model
-
-        if load_calibrated_work_model() is not None:
-            return "measured on-node calibration"
-        return "paper calibration"
-
-    def _resolve_cluster(self, max_ranks: int) -> tuple[ClusterSpec, str]:
+    def _resolve_cluster(
+        self, max_ranks: int, record: dict | None
+    ) -> tuple[ClusterSpec, str]:
         """The communication cost spec and a rationale-ready source note.
 
         Preference order: a caller-provided spec, the measured on-node
-        calibration record (``make calibrate`` /
+        calibration *record* (``make calibrate`` /
         :func:`repro.perf.calibrate.calibrate_cluster_spec`), and only
         then the built-in local-cluster defaults — never the paper's
         Fundy constants, whose 10 ms collectives describe a different
@@ -238,9 +248,9 @@ class Planner:
         """
         if self.hints.cluster is not None:
             return self.hints.cluster, "caller-provided cluster spec"
-        from repro.perf.calibrate import calibration_path, load_calibration
+        from repro.perf.calibrate import _cluster_from, calibration_path
 
-        spec = load_calibration()
+        spec = _cluster_from(record)
         if spec is not None:
             return spec, (
                 f"measured on-node calibration ({calibration_path(None)})"
@@ -305,8 +315,9 @@ class Planner:
 
         hints = self.hints
         max_ranks = hints.resolved_max_ranks()
-        wm = self._work_model()
-        cluster, cluster_source = self._resolve_cluster(max_ranks)
+        record = self._calibration()
+        wm, wm_source = self._work_model(record)
+        cluster, cluster_source = self._resolve_cluster(max_ranks, record)
         # Every PRNA price below is this pair's simulator model, memoized
         # per (n_ranks, sync_mode).
         simulator = PRNASimulator(
@@ -318,9 +329,7 @@ class Planner:
         sequential = wm.total_sequential_seconds(s1, s2)
         rationale: list[str] = [
             f"modeled sequential SRNA2 time {sequential:.3g} s "
-            f"({wm.seconds_per_cell:.3g} s/cell, "
-            + self._work_model_source()
-            + ")",
+            f"({wm.seconds_per_cell:.3g} s/cell, {wm_source})",
         ]
 
         chosen_ranks = n_ranks
@@ -605,7 +614,7 @@ class Planner:
             choices=BATCH_ALGORITHMS,
         )
         engine = validate_choice("engine", engine, allow_auto=True)
-        wm = self._work_model()
+        wm, _ = self._work_model(self._calibration())
         total = sum(
             wm.total_sequential_seconds(query, target)
             for target in targets.values()

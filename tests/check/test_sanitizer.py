@@ -1,7 +1,6 @@
 """SanitizedCommunicator mechanics: transparency, stamping, memo guard."""
 
 import numpy as np
-import pytest
 
 from repro.check.sanitizer import SanitizedCommunicator, SanitizedMemoTable
 from repro.core.memo import DenseMemoTable
@@ -19,15 +18,14 @@ class TestTransparentCollectives:
             c = sanitized(comm)
             value = c.bcast(comm.rank * 10 + 7, root=1)
             total = c.allreduce(1, ReduceOp.SUM)
-            gathered = c.gather(c.rank, root=0)
+            gathered = c.allgather(c.rank)
             c.barrier()
             return value, total, gathered
 
         out = run_threaded(fn, 3)
         assert [o[0] for o in out] == [17, 17, 17]
         assert [o[1] for o in out] == [3, 3, 3]
-        assert out[0][2] == [0, 1, 2]
-        assert out[1][2] is None
+        assert [o[2] for o in out] == [[0, 1, 2]] * 3
 
     def test_Allreduce_matches_plain(self):
         def fn(comm):
@@ -38,15 +36,6 @@ class TestTransparentCollectives:
 
         out = run_threaded(fn, 3)
         assert out == [[2] * 5] * 3
-
-    def test_scatter_and_allgather(self):
-        def fn(comm):
-            c = sanitized(comm)
-            mine = c.scatter([10, 20] if c.rank == 0 else None, root=0)
-            return c.allgather(mine)
-
-        out = run_threaded(fn, 2)
-        assert out == [[10, 20], [10, 20]]
 
     def test_point_to_point(self):
         def fn(comm):

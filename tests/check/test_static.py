@@ -54,7 +54,7 @@ class TestSPMD001:
             def fn(comm, my_rank):
                 while my_rank < 2:
                     comm.allreduce(1)
-                x = comm.gather(1) if my_rank else None
+                x = comm.allgather(1) if my_rank else None
             """
         )
         assert rules_of(findings) == ["SPMD103", "SPMD101"]
@@ -149,7 +149,7 @@ class TestSPMD002:
             def fn(comm):
                 comm.send("x", 1, tag=TAG_WORK)
                 comm.recv(0, tag=TAG_WORK)
-                comm.isend("y", 1, tag=TAG_STOP)
+                comm.send("y", 1, tag=TAG_STOP)
             """
         )
         assert rules_of(findings) == ["SPMD201"]

@@ -130,9 +130,7 @@ class TestRunMultiprocess:
     def test_with_clocks(self):
         from repro.mpi.costmodel import CostModel
 
-        out = run_multiprocess(
-            _clocked, 2, cost_model=CostModel(), with_clocks=True
-        )
+        out = run_multiprocess(_clocked, 2, cost_model=CostModel())
         times = [t for _, t in out]
         # Clocks sync at the final barrier: both at >= max charge.
         assert all(t >= 2.0 for t in times)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpi.virtualtime import VirtualClock, sync_clocks
+from repro.mpi.virtualtime import VirtualClock
 
 
 class TestVirtualClock:
@@ -23,27 +23,3 @@ class TestVirtualClock:
         assert clock.now == 5.0
         clock.advance_to(8.0)
         assert clock.now == 8.0
-
-    def test_measured_region(self):
-        clock = VirtualClock()
-        clock.start_measuring()
-        total = sum(i for i in range(100_000))
-        assert total > 0
-        raw = clock.stop_measuring(scale=2.0)
-        assert raw >= 0.0
-        assert clock.now == pytest.approx(raw * 2.0)
-
-    def test_stop_without_start(self):
-        with pytest.raises(RuntimeError):
-            VirtualClock().stop_measuring()
-
-
-class TestSyncClocks:
-    def test_all_advance_to_max_plus_cost(self):
-        clocks = [VirtualClock() for _ in range(3)]
-        clocks[0].charge(1.0)
-        clocks[1].charge(4.0)
-        clocks[2].charge(2.0)
-        instant = sync_clocks(clocks, cost=0.5)
-        assert instant == 4.5
-        assert all(c.now == 4.5 for c in clocks)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.runtime.plan import (
     PARALLEL_THRESHOLD_SECONDS,
-    Plan,
     Planner,
     ResourceHints,
     local_cluster,
@@ -251,7 +250,8 @@ class TestCalibrationSource:
 
     def test_defaults_without_a_record(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CALIBRATION", str(tmp_path / "missing.json"))
-        spec, source = Planner(ResourceHints(max_ranks=4))._resolve_cluster(4)
+        planner = Planner(ResourceHints(max_ranks=4))
+        spec, source = planner._resolve_cluster(4, planner._calibration())
         assert "built-in local-cluster defaults" in source
         assert spec == local_cluster(4)
 
@@ -262,7 +262,8 @@ class TestCalibrationSource:
         path = tmp_path / "cal.json"
         monkeypatch.setenv("REPRO_CALIBRATION", str(path))
         save_calibration(measured)
-        spec, source = Planner(ResourceHints(max_ranks=4))._resolve_cluster(4)
+        planner = Planner(ResourceHints(max_ranks=4))
+        spec, source = planner._resolve_cluster(4, planner._calibration())
         assert "measured on-node calibration" in source
         assert spec.alpha == pytest.approx(123e-6)
 
@@ -274,9 +275,29 @@ class TestCalibrationSource:
         save_calibration(local_cluster(4))
         mine = dataclasses.replace(local_cluster(4), alpha=7e-6)
         planner = Planner(ResourceHints(max_ranks=4, cluster=mine))
-        spec, source = planner._resolve_cluster(4)
+        spec, source = planner._resolve_cluster(4, planner._calibration())
         assert source == "caller-provided cluster spec"
         assert spec is mine
+
+    def test_record_read_once_per_plan(self, monkeypatch, tmp_path, large):
+        from repro.perf import calibrate
+
+        calibrate.save_calibration(local_cluster(4), path=str(tmp_path / "c.json"))
+        monkeypatch.setenv("REPRO_CALIBRATION", str(tmp_path / "c.json"))
+        reads = []
+        real = calibrate._load_payload
+
+        def counting(path):
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(calibrate, "_load_payload", counting)
+        planner = Planner(ResourceHints(max_ranks=4))
+        plan = planner.plan(large, large)
+        assert len(reads) == 1
+        assert any("measured on-node calibration" in r for r in plan.rationale)
+        planner.plan_batch(large, {"t": large})
+        assert len(reads) == 2
 
     def test_explain_cites_the_source(self, monkeypatch, tmp_path, large):
         monkeypatch.setenv("REPRO_CALIBRATION", str(tmp_path / "none.json"))

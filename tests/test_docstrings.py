@@ -17,8 +17,6 @@ import repro
 def _walk_modules():
     yield repro
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
-        if "mpi4py_adapter" in info.name:
-            continue  # importable, but keep optional-dep modules explicit
         if info.name.endswith("__main__"):
             continue  # executes on import by design
         yield importlib.import_module(info.name)
