@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.memo import DenseMemoTable
 from repro.core.slices import (
-    tabulate_slice_batched,
+    ROW_ENGINES,
     tabulate_slice_python,
     tabulate_slice_vectorized,
     tabulate_slices_batched,
@@ -45,17 +45,6 @@ def test_python_parent_slice(benchmark, worst_case_200):
     assert result > 0
 
 
-def test_batched_parent_slice(benchmark, worst_case_200):
-    """Single-slice entry of the batched engine (one segment, no lift)."""
-    structure, memo = worst_case_200
-    result = benchmark(
-        lambda: tabulate_slice_batched(
-            memo.values, structure, structure, 0, 199, 0, 199
-        )
-    )
-    assert result > 0
-
-
 def test_batched_stage_one_row(benchmark):
     """One outer arc's whole batch — what SRNA2 stage one runs per arc."""
     structure = contrived_worst_case(200)
@@ -74,39 +63,12 @@ def test_batched_stage_one_row(benchmark):
     assert total > 0
 
 
-def test_many_small_slices(benchmark):
-    """Per-slice overhead: rRNA-like structures are dominated by thousands
-    of small slices, not one big one."""
-    structure = rna_like_structure(400, 90, seed=17)
-    memo = DenseMemoTable(400, 400)
-
-    def run():
-        total = 0
-        inner = structure.inner_ranges
-        for a in range(structure.n_arcs):
-            arc = structure.arcs[a]
-            r1 = (int(inner[a, 0]), int(inner[a, 1]))
-            for b in range(structure.n_arcs):
-                other = structure.arcs[b]
-                total += tabulate_slice_vectorized(
-                    memo.values, structure, structure,
-                    arc.left + 1, arc.right - 1,
-                    other.left + 1, other.right - 1,
-                    ranges=(r1, (int(inner[b, 0]), int(inner[b, 1]))),
-                )
-        return total
-
-    total = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert total >= 0
-    benchmark.extra_info["slices"] = structure.n_arcs ** 2
-
-
-def test_many_small_slices_batched(benchmark):
-    """The same workload through the batch API — one call per outer arc
-    instead of one per arc pair (the production stage-one shape)."""
+def _stage_one_rows(engine: str):
+    """One row-entry call per outer arc over every S2 arc of a self-pair."""
     structure = rna_like_structure(400, 90, seed=17)
     memo = DenseMemoTable(400, 400)
     arcs = np.arange(structure.n_arcs, dtype=np.int64)
+    row = ROW_ENGINES[engine]
 
     def run():
         total = 0
@@ -115,13 +77,30 @@ def test_many_small_slices_batched(benchmark):
             arc = structure.arcs[a]
             r1 = (int(inner[a, 0]), int(inner[a, 1]))
             total += int(
-                tabulate_slices_batched(
+                row(
                     memo.values, structure, structure,
                     arc.left + 1, arc.right - 1, arcs, r1=r1,
                 ).sum()
             )
         return total
 
+    return run, structure.n_arcs ** 2
+
+
+def test_many_small_slices(benchmark):
+    """Per-slice overhead: rRNA-like structures are dominated by thousands
+    of small slices, not one big one.  The per-slice row entry makes one
+    kernel call per arc pair."""
+    run, slices = _stage_one_rows("vectorized")
     total = benchmark.pedantic(run, rounds=1, iterations=1)
     assert total >= 0
-    benchmark.extra_info["slices"] = structure.n_arcs ** 2
+    benchmark.extra_info["slices"] = slices
+
+
+def test_many_small_slices_batched(benchmark):
+    """The same workload through the batched row entry — the slices of
+    one outer arc advance together (the production stage-one shape)."""
+    run, slices = _stage_one_rows("batched")
+    total = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert total >= 0
+    benchmark.extra_info["slices"] = slices

@@ -77,9 +77,10 @@ def mcos(
         parallel algorithm for large inputs), or a parallel algorithm
         name directly.
     engine:
-        Slice engine for SRNA2 (``"vectorized"`` or ``"python"`` or
-        ``"batched"``), or ``"auto"`` (default: the planner's choice, the
-        whole-row ``"batched"`` engine for the sequential algorithms).
+        Slice engine (``"batched"``, ``"vectorized"`` or ``"python"``;
+        see :data:`repro.core.slices.ROW_ENGINES`), or ``"auto"``
+        (default: the planner's choice, the ``"batched"`` engine, whose
+        stage one advances all child slices of an outer arc together).
     with_backtrace:
         Also recover the matched arc pairs (requires ``srna1``/``srna2``).
     instrument:

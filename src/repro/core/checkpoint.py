@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.memo import DenseMemoTable
-from repro.core.slices import ENGINES
+from repro.core.slices import ENGINES, ROW_ENGINES
 from repro.errors import ReproError
+from repro.runtime.registry import validate_choice
 from repro.structure.arcs import Structure
 
 __all__ = ["CheckpointError", "Checkpoint", "srna2_checkpointed"]
@@ -93,7 +94,7 @@ def srna2_checkpointed(
     path: str | os.PathLike,
     *,
     every: int = 64,
-    engine: str = "vectorized",
+    engine: str = "batched",
     interrupt_after: int | None = None,
 ):
     """SRNA2 with periodic stage-one checkpoints at *path*.
@@ -113,12 +114,8 @@ def srna2_checkpointed(
 
     if every < 1:
         raise ValueError(f"every must be >= 1, got {every}")
-    try:
-        tabulate = ENGINES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown slice engine {engine!r}; available: {sorted(ENGINES)}"
-        ) from None
+    validate_choice("engine", engine)
+    tabulate, tabulate_row = ENGINES[engine], ROW_ENGINES[engine]
 
     digest = _pair_digest(s1, s2)
     n, m = s1.length, s2.length
@@ -142,11 +139,10 @@ def srna2_checkpointed(
 
     values = memo.values
     inner1 = s1.inner_ranges
-    inner2 = s2.inner_ranges
     lefts1 = s1.lefts.tolist()
     rights1 = s1.rights.tolist()
-    lefts2 = s2.lefts.tolist()
-    rights2 = s2.rights.tolist()
+    all_arcs2 = np.arange(s2.n_arcs, dtype=np.int64)
+    row_cols = s2.lefts + 1
 
     processed = 0
     for a in range(start_arc, s1.n_arcs):
@@ -158,13 +154,9 @@ def srna2_checkpointed(
             )
         i1, j1 = lefts1[a], rights1[a]
         r1 = (int(inner1[a, 0]), int(inner1[a, 1]))
-        row = values[i1 + 1]
-        for b in range(s2.n_arcs):
-            i2, j2 = lefts2[b], rights2[b]
-            row[i2 + 1] = tabulate(
-                values, s1, s2, i1 + 1, j1 - 1, i2 + 1, j2 - 1,
-                ranges=(r1, (int(inner2[b, 0]), int(inner2[b, 1]))),
-            )
+        values[i1 + 1, row_cols] = tabulate_row(
+            values, s1, s2, i1 + 1, j1 - 1, all_arcs2, r1=r1
+        )
         processed += 1
         if (a + 1) % every == 0:
             Checkpoint(a + 1, values, digest).save(path)

@@ -29,17 +29,24 @@ Compressed layout: the value matrix has one extra leading row *and* column
 of zeros (the empty-interval boundary), so boundary reads need no masking —
 a ``d1`` reference that falls before the interval simply lands on index 0.
 
-Three engines share the contract:
+Every engine offers two entry points with a common contract:
 
-* :func:`tabulate_slice_python` — direct transcription, the readable
-  reference used for cross-checking;
-* :func:`tabulate_slice_vectorized` — one 2-D memo gather per slice plus
-  four NumPy kernels per row;
-* :func:`tabulate_slice_batched` — the production engine, the
-  single-slice view of the **batched** tabulation below.
+* a **per-slice** kernel in :data:`ENGINES` — one slice per call, for stage
+  two's parent slice, manager-worker tasks and the backtracer's
+  re-tabulations.  :func:`tabulate_slice_python` is the direct
+  transcription (the readable reference) and
+  :func:`tabulate_slice_vectorized` runs one 2-D memo gather per slice plus
+  four NumPy kernels per row; ``"batched"`` tabulates single slices with
+  the vectorized kernel;
+* a **row entry** in :data:`ROW_ENGINES` — all child slices of one outer
+  S1 arc for a set of S2 arcs, the one call every stage-one loop makes per
+  outer arc.  ``"python"`` and ``"vectorized"`` share
+  :func:`tabulate_slices_each` (one per-slice call per S2 arc, so their
+  per-slice profile is the paper's); ``"batched"`` is
+  :func:`tabulate_slices_batched`.
 
-All accept precomputed arc-index *ranges* so SRNA2's stage one avoids
-re-searching intervals (see :attr:`Structure.inner_ranges`), and all can
+The per-slice kernels accept precomputed arc-index *ranges* so stage one
+avoids re-searching intervals (see :attr:`Structure.inner_ranges`), and can
 return the full compressed slice (``keep_table=True``) for the backtracer.
 
 Batched tabulation (:func:`tabulate_slices_batched`) exploits a third
@@ -63,6 +70,8 @@ Four-Russians RNA-folding line of work applied at slice granularity; see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -75,10 +84,10 @@ __all__ = [
     "arc_range_in",
     "tabulate_slice_python",
     "tabulate_slice_vectorized",
-    "tabulate_slice_batched",
+    "tabulate_slices_each",
     "tabulate_slices_batched",
     "ENGINES",
-    "BATCH_ENGINES",
+    "ROW_ENGINES",
 ]
 
 
@@ -282,6 +291,40 @@ def tabulate_slice_vectorized(
     return table if keep_table else table.result
 
 
+def tabulate_slices_each(
+    memo_values: np.ndarray,
+    s1: Structure,
+    s2: Structure,
+    i1: int,
+    j1: int,
+    arcs2,
+    *,
+    r1: tuple[int, int] | None = None,
+    instrumentation: Instrumentation | None = None,
+    tabulate,
+) -> np.ndarray:
+    """Row entry of the per-slice engines: one *tabulate* call per S2 arc.
+
+    Same contract as :func:`tabulate_slices_batched` — the child slices of
+    S1 interval ``[i1, j1]`` under each S2 arc in ``arcs2``, results
+    aligned with ``arcs2`` — with every slice counted on its own, so the
+    per-slice profile (Table III) is the paper's.
+    """
+    if r1 is None:
+        r1 = arc_range_in(s1, i1, j1)
+    arcs2 = np.asarray(arcs2, dtype=np.int64)
+    lefts2 = s2.lefts[arcs2].tolist()
+    rights2 = s2.rights[arcs2].tolist()
+    inner2 = s2.inner_ranges[arcs2].tolist()
+    results = np.zeros(len(arcs2), dtype=memo_values.dtype)
+    for k, (lo2, hi2) in enumerate(inner2):
+        results[k] = tabulate(
+            memo_values, s1, s2, i1, j1, lefts2[k] + 1, rights2[k] - 1,
+            ranges=(r1, (lo2, hi2)), instrumentation=instrumentation,
+        )
+    return results
+
+
 # ----------------------------------------------------------------------
 # Batched engine: all child slices of one outer arc advance together
 # ----------------------------------------------------------------------
@@ -311,22 +354,15 @@ def _segmented_tabulate(
     los: np.ndarray,
     his: np.ndarray,
     s2: Structure,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+) -> np.ndarray | None:
     """Tabulate every (non-empty) slice of one batch in a shared wide matrix.
 
     ``los``/``his`` are per-slice arc-index ranges into ``s2`` (all with
     ``his > los``); the S1 side (``xs``/``k1s``) is shared by the whole
-    batch.  Returns ``(results, rows_wide, bases, lens)`` where ``bases``
-    are each segment's zero-boundary column positions in the wide layout —
-    or ``None`` when the segmented prefix-max lift cannot be applied
-    safely (non-integer memo dtype or offset overflow risk), in which case
-    the caller falls back to per-slice tabulation.
-
-    ``results`` holds true slice values; ``rows_wide`` is returned in
-    **lifted** space (segment ``s`` offset by ``s * stride``).  With a
-    single segment the lift is zero, so the single-slice wrapper can use
-    ``rows_wide`` as the slice table directly; multi-segment callers only
-    consume ``results``.
+    batch.  Returns the slice results, or ``None`` when the segmented
+    prefix-max lift cannot be applied safely (non-integer memo dtype or
+    offset overflow risk), in which case the caller falls back to
+    per-slice tabulation.
     """
     if memo_values.dtype.kind not in "iu":
         return None
@@ -399,8 +435,7 @@ def _segmented_tabulate(
         np.maximum(rows_wide[r - 1], cand, out=out)
         np.maximum.accumulate(out, out=out)
 
-    results = rows_wide[n_rows, bases + lens] - seg_lift
-    return results, rows_wide, bases, lens
+    return rows_wide[n_rows, bases + lens] - seg_lift
 
 
 def tabulate_slices_batched(
@@ -424,9 +459,9 @@ def tabulate_slices_batched(
 
     Batches whose single memo gather would exceed the element cap are
     split into column chunks; batches the segmented kernel cannot handle
-    (non-integer memo dtype, offset overflow) fall back to per-slice
-    vectorized tabulation.  Either way results are bit-identical to the
-    per-slice engines.
+    (non-integer memo dtype, offset overflow) fall back to
+    :func:`tabulate_slices_each` over the vectorized kernel.  Either way
+    results are bit-identical to the per-slice engines.
     """
     if r1 is None:
         r1 = arc_range_in(s1, i1, j1)
@@ -466,80 +501,33 @@ def tabulate_slices_batched(
             memo_values, xs, k1s, los[part], his[part], s2
         )
         if batch is not None:
-            results[part] = batch[0].astype(memo_values.dtype)
+            results[part] = batch.astype(memo_values.dtype)
         else:
-            for k in part:
-                b = int(arcs2[k])
-                results[k] = tabulate_slice_vectorized(
-                    memo_values, s1, s2,
-                    i1, j1, int(s2.lefts[b]) + 1, int(s2.rights[b]) - 1,
-                    ranges=(r1, (int(los[k]), int(his[k]))),
-                )
+            results[part] = tabulate_slices_each(
+                memo_values, s1, s2, i1, j1, arcs2[part],
+                r1=r1, tabulate=tabulate_slice_vectorized,
+            )
         start = stop
     return results
 
 
-def tabulate_slice_batched(
-    memo_values: np.ndarray,
-    s1: Structure,
-    s2: Structure,
-    i1: int,
-    j1: int,
-    i2: int,
-    j2: int,
-    *,
-    ranges: tuple[tuple[int, int], tuple[int, int]] | None = None,
-    instrumentation: Instrumentation | None = None,
-    keep_table: bool = False,
-) -> int | SliceTable:
-    """Single-slice view of the batched engine; same contract as the others.
-
-    A batch of one degenerates to the vectorized row kernels plus one
-    leading boundary column, so this engine matches
-    :func:`tabulate_slice_vectorized` bit for bit — it exists so
-    ``ENGINES["batched"]`` satisfies the per-slice contract everywhere a
-    caller tabulates slices one at a time (stage two, checkpointing, the
-    backtracer's re-tabulations).
-    """
-    if ranges is None:
-        ranges = (arc_range_in(s1, i1, j1), arc_range_in(s2, i2, j2))
-    r1, r2 = ranges
-    xs, k1s, ys, k2s = _slice_arrays(s1, s2, r1, r2)
-    n_rows, n_cols = len(xs), len(ys)
-    batch = None
-    if n_rows > 0 and n_cols > 0:
-        lo2, hi2 = r2
-        batch = _segmented_tabulate(
-            memo_values, xs, k1s,
-            np.array([lo2], dtype=np.int64), np.array([hi2], dtype=np.int64),
-            s2,
-        )
-    if batch is None:
-        return tabulate_slice_vectorized(
-            memo_values, s1, s2, i1, j1, i2, j2,
-            ranges=ranges, instrumentation=instrumentation,
-            keep_table=keep_table,
-        )
-    if instrumentation is not None:
-        instrumentation.count_slice(n_rows * n_cols)
-    _, rows_wide, _, _ = batch
-    if keep_table:
-        rows = rows_wide.astype(memo_values.dtype)
-        return SliceTable(i1, j1, i2, j2, xs, k1s, ys, k2s, rows)
-    return int(rows_wide[n_rows, n_cols])
-
-
-#: Per-slice engines (the common contract).  ``"batched"`` is the
-#: production default; ``"vectorized"`` and ``"python"`` are kept as
-#: cross-check references.
+#: Per-slice kernels (stage two, manager-worker tasks, the backtracer).
+#: ``"batched"`` tabulates single slices with the vectorized kernel; its
+#: batching lives in the row entry.
 ENGINES = {
     "python": tabulate_slice_python,
     "vectorized": tabulate_slice_vectorized,
-    "batched": tabulate_slice_batched,
+    "batched": tabulate_slice_vectorized,
 }
 
-#: Engines that additionally offer the whole-batch entry point used by
-#: SRNA2's stage one and PRNA's owned-column loop.
-BATCH_ENGINES = {
+#: Row entries: the one call per outer arc every stage-one loop makes
+#: (SRNA2, PRNA's owned columns, checkpointing, manager-worker's
+#: single-rank path).  ``"batched"`` is the production default;
+#: ``"vectorized"`` and ``"python"`` are kept as cross-check references.
+ROW_ENGINES: dict[str, Callable[..., np.ndarray]] = {
+    "python": partial(tabulate_slices_each, tabulate=tabulate_slice_python),
+    "vectorized": partial(
+        tabulate_slices_each, tabulate=tabulate_slice_vectorized
+    ),
     "batched": tabulate_slices_batched,
 }

@@ -28,7 +28,8 @@ import numpy as np
 
 from repro.core.instrument import Instrumentation
 from repro.core.memo import DenseMemoTable
-from repro.core.slices import BATCH_ENGINES, ENGINES
+from repro.core.slices import ENGINES, ROW_ENGINES
+from repro.runtime.registry import validate_choice
 from repro.structure.arcs import Structure
 
 __all__ = ["srna2", "SRNA2Result"]
@@ -76,8 +77,10 @@ def srna2(
     engine:
         ``"batched"`` (production default — stage one advances all child
         slices of an outer arc together), ``"vectorized"`` (per-slice row
-        kernels) or ``"python"`` (readable reference); see
-        :data:`repro.core.slices.ENGINES`.  All engines produce
+        kernels) or ``"python"`` (readable reference).  Stage one makes
+        one :data:`~repro.core.slices.ROW_ENGINES` call per outer arc;
+        stage two tabulates the parent slice with the engine's
+        :data:`~repro.core.slices.ENGINES` kernel.  All engines produce
         bit-identical tables.
     instrumentation:
         Optional counters; stage times feed the Table III experiment.
@@ -87,12 +90,8 @@ def srna2(
         are bounded by ``min(|S1|, |S2|)``, so any integer type of at
         least 32 bits is safe for realistic inputs.
     """
-    try:
-        tabulate = ENGINES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown slice engine {engine!r}; available: {sorted(ENGINES)}"
-        ) from None
+    validate_choice("engine", engine)
+    tabulate, tabulate_row = ENGINES[engine], ROW_ENGINES[engine]
     n, m = s1.length, s2.length
 
     def stage(name: str):
@@ -108,45 +107,28 @@ def srna2(
     with stage("preprocessing"):
         memo = DenseMemoTable(n, m, dtype=dtype if dtype is not None else np.int64)
         inner1 = s1.inner_ranges
-        inner2 = s2.inner_ranges
+        s2.inner_ranges  # cached here; the row entries read it
         lefts1 = s1.lefts.tolist()
-        lefts2 = s2.lefts.tolist()
         rights1 = s1.rights.tolist()
-        rights2 = s2.rights.tolist()
         n_arcs1, n_arcs2 = s1.n_arcs, s2.n_arcs
 
     # Stage one: tabulate every child slice, outer loop by increasing j1,
-    # inner loop by increasing j2 (the arcs are stored in exactly that
-    # order).  With a batch-capable engine the inner loop collapses into
-    # one whole-row batch per outer arc — sound because no slice under
-    # (i1, j1) ever reads memo row i1 + 1 (shared endpoints are forbidden,
-    # so every d2 reference lands on a row of a smaller right endpoint).
-    batch = BATCH_ENGINES.get(engine)
+    # one row-entry call per outer arc over every S2 arc (the arcs are
+    # stored in increasing-j2 order).  Writing the whole row at once is
+    # sound because no slice under (i1, j1) ever reads memo row i1 + 1
+    # (shared endpoints are forbidden, so every d2 reference lands on a
+    # row of a smaller right endpoint).
     with stage("stage_one"):
         values = memo.values
-        if batch is not None:
-            all_arcs2 = np.arange(n_arcs2, dtype=np.int64)
-            row_cols = s2.lefts + 1
-            for a in range(n_arcs1):
-                i1, j1 = lefts1[a], rights1[a]
-                r1 = (int(inner1[a, 0]), int(inner1[a, 1]))
-                values[i1 + 1, row_cols] = batch(
-                    values, s1, s2, i1 + 1, j1 - 1, all_arcs2,
-                    r1=r1, instrumentation=instrumentation,
-                )
-        else:
-            for a in range(n_arcs1):
-                i1, j1 = lefts1[a], rights1[a]
-                r1 = (int(inner1[a, 0]), int(inner1[a, 1]))
-                row = values[i1 + 1]
-                for b in range(n_arcs2):
-                    i2, j2 = lefts2[b], rights2[b]
-                    row[i2 + 1] = tabulate(
-                        values, s1, s2,
-                        i1 + 1, j1 - 1, i2 + 1, j2 - 1,
-                        ranges=(r1, (int(inner2[b, 0]), int(inner2[b, 1]))),
-                        instrumentation=instrumentation,
-                    )
+        all_arcs2 = np.arange(n_arcs2, dtype=np.int64)
+        row_cols = s2.lefts + 1
+        for a in range(n_arcs1):
+            i1, j1 = lefts1[a], rights1[a]
+            r1 = (int(inner1[a, 0]), int(inner1[a, 1]))
+            values[i1 + 1, row_cols] = tabulate_row(
+                values, s1, s2, i1 + 1, j1 - 1, all_arcs2,
+                r1=r1, instrumentation=instrumentation,
+            )
 
     # Stage two: the parent slice over the full sequences.
     with stage("stage_two"):

@@ -26,9 +26,12 @@ implementation below is the weighted twin of
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.core.memo import DenseMemoTable
+from repro.core.slices import tabulate_slices_each
 from repro.errors import StructureError
 from repro.structure.arcs import Structure
 
@@ -64,12 +67,23 @@ def _check_weights(s1: Structure, s2: Structure, weights: np.ndarray) -> np.ndar
 
 def _tabulate_weighted_slice(
     memo_values: np.ndarray,
-    weights: np.ndarray,
     s1: Structure,
     s2: Structure,
+    i1: int,
+    j1: int,
+    i2: int,
+    j2: int,
+    *,
     ranges: tuple[tuple[int, int], tuple[int, int]],
+    instrumentation=None,
+    weights: np.ndarray,
 ) -> float:
-    """Weighted ``TabulateSlice`` over precomputed arc-index ranges."""
+    """Weighted ``TabulateSlice`` over precomputed arc-index ranges.
+
+    Takes the per-slice kernel arguments of :mod:`repro.core.slices` so
+    :func:`~repro.core.slices.tabulate_slices_each` can drive it; only
+    *ranges* locates the slice, and nothing is counted.
+    """
     (lo1, hi1), (lo2, hi2) = ranges
     xs = s1.rights[lo1:hi1]
     k1s = s1.lefts[lo1:hi1]
@@ -113,23 +127,24 @@ def weighted_mcos(
     memo = DenseMemoTable(n, m, dtype=np.float64)
     values = memo.values
     inner1 = s1.inner_ranges
-    inner2 = s2.inner_ranges
     lefts1 = s1.lefts.tolist()
-    lefts2 = s2.lefts.tolist()
+    rights1 = s1.rights.tolist()
+    tabulate = partial(_tabulate_weighted_slice, weights=weights)
+    all_arcs2 = np.arange(s2.n_arcs, dtype=np.int64)
+    row_cols = s2.lefts + 1
 
-    # Stage one: all arc pairs by increasing right endpoints.
+    # Stage one: one row call per outer arc, by increasing right endpoint.
     for a in range(s1.n_arcs):
-        row = values[lefts1[a] + 1]
-        r1 = (int(inner1[a, 0]), int(inner1[a, 1]))
-        for b in range(s2.n_arcs):
-            row[lefts2[b] + 1] = _tabulate_weighted_slice(
-                values, weights, s1, s2,
-                (r1, (int(inner2[b, 0]), int(inner2[b, 1]))),
-            )
+        i1, j1 = lefts1[a], rights1[a]
+        values[i1 + 1, row_cols] = tabulate_slices_each(
+            values, s1, s2, i1 + 1, j1 - 1, all_arcs2,
+            r1=(int(inner1[a, 0]), int(inner1[a, 1])), tabulate=tabulate,
+        )
 
     # Stage two: the parent slice.
-    score = _tabulate_weighted_slice(
-        values, weights, s1, s2, ((0, s1.n_arcs), (0, s2.n_arcs))
+    score = tabulate(
+        values, s1, s2, 0, n - 1, 0, m - 1,
+        ranges=((0, s1.n_arcs), (0, s2.n_arcs)),
     )
     memo.store(0, 0, score)
     return WeightedResult(score, memo, weights)

@@ -163,8 +163,7 @@ def dataflow_stage_one(
     consolidated table against each rank's owned block.
     """
     values = state.values
-    tabulate = state.tabulate
-    batch = state.batch
+    tabulate_row = state.row
     inst = state.inst
     work_model = state.work_model
     span = state.span
@@ -190,9 +189,6 @@ def dataflow_stage_one(
     inner1 = s1.inner_ranges
     lefts1 = s1.lefts.tolist()
     rights1 = s1.rights.tolist()
-    lefts2 = s2.lefts.tolist()
-    rights2 = s2.rights.tolist()
-    inner2 = s2.inner_ranges
     inside1 = s1.inside_count
     inside2 = s2.inside_count
     rows = plan.row_of_arc
@@ -217,19 +213,10 @@ def dataflow_stage_one(
                 seen.add(d)
         row = values[i1 + 1]
         with span("tabulate_row", "compute", row=i1 + 1, columns=len(owned)):
-            if batch is not None:
-                row[owned_cols] = batch(
-                    values, s1, s2, i1 + 1, j1 - 1, owned_arr,
-                    r1=r1, instrumentation=inst,
-                )
-            else:
-                for b in owned:
-                    i2, j2 = lefts2[b], rights2[b]
-                    row[i2 + 1] = tabulate(
-                        values, s1, s2, i1 + 1, j1 - 1, i2 + 1, j2 - 1,
-                        ranges=(r1, (int(inner2[b, 0]), int(inner2[b, 1]))),
-                        instrumentation=inst,
-                    )
+            row[owned_cols] = tabulate_row(
+                values, s1, s2, i1 + 1, j1 - 1, owned_arr,
+                r1=r1, instrumentation=inst,
+            )
         if work_model is not None:
             charge(work_model.row_seconds(int(inside1[a]), inside2, owned))
         # Publish the completed owned cells to every consumer, in arc

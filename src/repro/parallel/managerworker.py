@@ -35,13 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.memo import DenseMemoTable
-from repro.core.slices import ENGINES
+from repro.core.slices import ENGINES, ROW_ENGINES
 from repro.errors import SimulationError
 from repro.mpi.communicator import Communicator
 from repro.mpi.costmodel import ClusterSpec, CostModel, DEFAULT_CLUSTER
 from repro.obs.tracer import Tracer
 from repro.perf.model import WorkModel
 from repro.runtime.context import ExecutionContext
+from repro.runtime.registry import validate_choice
 from repro.structure.arcs import Structure
 
 __all__ = [
@@ -90,7 +91,7 @@ def manager_worker_rank(
     s1: Structure,
     s2: Structure,
     *,
-    engine: str = "vectorized",
+    engine: str = "batched",
     out: DenseMemoTable | None = None,
 ) -> ManagerWorkerResult:
     """SPMD body: rank 0 manages, other ranks work.
@@ -101,12 +102,8 @@ def manager_worker_rank(
     :meth:`ExecutionContext.result_memo`) the manager tabulates into
     instead of a private one; the result then carries ``memo=None``.
     """
-    try:
-        tabulate = ENGINES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown slice engine {engine!r}; available: {sorted(ENGINES)}"
-        ) from None
+    validate_choice("engine", engine)
+    tabulate = ENGINES[engine]
     n, m = s1.length, s2.length
     inner1 = s1.inner_ranges
     inner2 = s2.inner_ranges
@@ -117,8 +114,8 @@ def manager_worker_rank(
 
     if comm.rank == 0:
         return _manager(
-            comm, s1, s2, tabulate,
-            inner1, inner2, lefts1, rights1, lefts2, rights2, out,
+            comm, s1, s2, tabulate, ROW_ENGINES[engine],
+            inner1, lefts1, rights1, lefts2, out,
         )
     return _worker(
         comm, s1, s2, tabulate,
@@ -127,8 +124,8 @@ def manager_worker_rank(
 
 
 def _manager(
-    comm, s1, s2, tabulate,
-    inner1, inner2, lefts1, rights1, lefts2, rights2, out,
+    comm, s1, s2, tabulate, tabulate_row,
+    inner1, lefts1, rights1, lefts2, out,
 ) -> ManagerWorkerResult:
     n, m = s1.length, s2.length
     memo = out if out is not None else DenseMemoTable(n, m)
@@ -137,19 +134,19 @@ def _manager(
     tasks_computed = 0
     # Workers whose task request has arrived but not yet been answered.
     waiting: deque[int] = deque()
+    # A single-rank world tabulates each row with one row-entry call.
+    all_arcs2 = np.arange(s2.n_arcs, dtype=np.int64)
+    row_cols = s2.lefts + 1
 
     for a in range(s1.n_arcs):
         i1, j1 = lefts1[a], rights1[a]
         r1 = (int(inner1[a, 0]), int(inner1[a, 1]))
         row = values[i1 + 1]
         if not workers:
-            for b in range(s2.n_arcs):
-                i2, j2 = lefts2[b], rights2[b]
-                row[i2 + 1] = tabulate(
-                    values, s1, s2, i1 + 1, j1 - 1, i2 + 1, j2 - 1,
-                    ranges=(r1, (int(inner2[b, 0]), int(inner2[b, 1]))),
-                )
-                tasks_computed += 1
+            row[row_cols] = tabulate_row(
+                values, s1, s2, i1 + 1, j1 - 1, all_arcs2, r1=r1
+            )
+            tasks_computed += s2.n_arcs
             continue
         next_b = 0
         pending = 0
@@ -232,7 +229,7 @@ def manager_worker(
     s2: Structure,
     n_ranks: int = 2,
     *,
-    engine: str = "vectorized",
+    engine: str = "batched",
     backend: str = "thread",
     collect_stats: bool = False,
     tracer: Tracer | None = None,

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.instrument import Instrumentation
 from repro.core.memo import DenseMemoTable
-from repro.core.slices import BATCH_ENGINES, ENGINES
+from repro.core.slices import ENGINES, ROW_ENGINES
 from repro.errors import CommunicatorError
 from repro.mpi.communicator import Communicator
 from repro.obs.tracer import NULL_SPAN, Tracer
@@ -115,10 +115,12 @@ def prna_rank(
     Parameters
     ----------
     engine:
-        Slice engine (:data:`repro.core.slices.ENGINES`).  With a
-        batch-capable engine (the default ``"batched"``) each rank
-        tabulates all its owned columns of an outer arc in one batch —
-        the column partition *is* the batch definition.
+        Slice engine.  Each rank makes one row-entry call
+        (:data:`repro.core.slices.ROW_ENGINES`) per outer arc over its
+        owned columns — the column partition *is* the batch definition;
+        with the default ``"batched"`` those slices advance together.
+        Rank 0 tabulates the parent slice with the engine's
+        :data:`~repro.core.slices.ENGINES` kernel.
     shared_memory:
         Retained for callers that still pass ``Plan.shared_memory``; only
         ``False`` is accepted (:class:`ValueError` otherwise).  Row
@@ -212,16 +214,15 @@ def prna_rank(
     values = memo.values
     owned_arr = np.asarray(owned, dtype=np.int64)
     owned_cols = s2.lefts[owned_arr] + 1
-    # With a batch-capable engine the owned-column loop becomes one
-    # batch per outer arc: the rank's partition defines the batch.
+    # One row-entry call per outer arc over the owned columns: the rank's
+    # partition defines the batch.
     state = StageOneState(
         values=values,
         partition=partition,
         owned=owned,
         owned_arr=owned_arr,
         owned_cols=owned_cols,
-        tabulate=tabulate,
-        batch=BATCH_ENGINES.get(engine),
+        row=ROW_ENGINES[engine],
         inst=inst,
         work_model=work_model,
         span=span,

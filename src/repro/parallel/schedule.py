@@ -47,11 +47,13 @@ __all__ = ["StageOneState", "row_barrier_stage_one"]
 class StageOneState:
     """Rank-local context a stage-one executor consumes.
 
-    Bundles everything beyond ``(comm, s1, s2)``: the memo
-    buffer, the owned column partition, the slice engine, and the
-    observability hooks (``span`` yields tracer spans; ``charge`` feeds
-    modelled compute seconds to the virtual clock).  Built
-    once by :func:`repro.parallel.prna.prna_rank` and handed to whichever
+    Bundles everything beyond ``(comm, s1, s2)``: the memo buffer, the
+    owned column partition, the engine's row entry ``row`` (one call per
+    outer arc over ``owned_arr``; see
+    :data:`repro.core.slices.ROW_ENGINES`), and the observability hooks
+    (``span`` yields tracer spans; ``charge`` feeds modelled compute
+    seconds to the virtual clock).  Built once by
+    :func:`repro.parallel.prna.prna_rank` and handed to whichever
     executor the sync mode selects.
     """
 
@@ -60,8 +62,7 @@ class StageOneState:
     owned: list
     owned_arr: np.ndarray
     owned_cols: np.ndarray
-    tabulate: Callable
-    batch: Callable | None
+    row: Callable
     inst: Any
     work_model: Any
     span: Callable
@@ -81,8 +82,7 @@ def row_barrier_stage_one(
     ``Allreduce(MAX)``.
     """
     values = state.values
-    tabulate = state.tabulate
-    batch = state.batch
+    tabulate_row = state.row
     inst = state.inst
     work_model = state.work_model
     span = state.span
@@ -91,11 +91,8 @@ def row_barrier_stage_one(
     owned_arr = state.owned_arr
     owned_cols = state.owned_cols
     inner1 = s1.inner_ranges
-    inner2 = s2.inner_ranges
     lefts1 = s1.lefts.tolist()
     rights1 = s1.rights.tolist()
-    lefts2 = s2.lefts.tolist()
-    rights2 = s2.rights.tolist()
     inside1 = s1.inside_count
     inside2 = s2.inside_count
     for a in range(s1.n_arcs):
@@ -103,19 +100,10 @@ def row_barrier_stage_one(
         r1 = (int(inner1[a, 0]), int(inner1[a, 1]))
         row = values[i1 + 1]
         with span("tabulate_row", "compute", row=i1 + 1, columns=len(owned)):
-            if batch is not None:
-                row[owned_cols] = batch(
-                    values, s1, s2, i1 + 1, j1 - 1, owned_arr,
-                    r1=r1, instrumentation=inst,
-                )
-            else:
-                for b in owned:
-                    i2, j2 = lefts2[b], rights2[b]
-                    row[i2 + 1] = tabulate(
-                        values, s1, s2, i1 + 1, j1 - 1, i2 + 1, j2 - 1,
-                        ranges=(r1, (int(inner2[b, 0]), int(inner2[b, 1]))),
-                        instrumentation=inst,
-                    )
+            row[owned_cols] = tabulate_row(
+                values, s1, s2, i1 + 1, j1 - 1, owned_arr,
+                r1=r1, instrumentation=inst,
+            )
         if work_model is not None:
             charge(work_model.row_seconds(int(inside1[a]), inside2, owned))
         with span("allreduce_wait", "comm", row=i1 + 1):

@@ -488,12 +488,10 @@ class Planner:
                 )
             return None
         if engine == AUTO:
-            engine = "vectorized" if algorithm == "managerworker" else "batched"
-            why = (
-                "per-slice tasks" if engine == "vectorized"
-                else "whole-row batches per outer arc"
+            engine = "batched"
+            rationale.append(
+                f"engine auto -> {engine!r} (whole-row batches per outer arc)"
             )
-            rationale.append(f"engine auto -> {engine!r} ({why})")
         contract = cost_contract_for(f"engine:{engine}")
         if contract is not None:
             rationale.append(

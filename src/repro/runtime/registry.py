@@ -23,7 +23,7 @@ import difflib
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.slices import BATCH_ENGINES, ENGINES
+from repro.core.slices import ENGINES
 from repro.scheduling.partition import PARTITIONERS
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "ALGORITHMS",
     "BATCH_ALGORITHMS",
     "ENGINE_NAMES",
-    "BATCH_ENGINE_NAMES",
     "BACKENDS",
     "PARTITIONER_NAMES",
     "SYNC_MODES",
@@ -70,9 +69,6 @@ BATCH_ALGORITHMS = SEQUENTIAL_ALGORITHMS
 
 #: Slice engine names, in the order of the implementation registry.
 ENGINE_NAMES = tuple(sorted(ENGINES))
-
-#: Engines that can advance a whole batch of child slices at once.
-BATCH_ENGINE_NAMES = tuple(sorted(BATCH_ENGINES))
 
 #: Execution backends for the SPMD algorithms.
 BACKENDS = ("self", "thread", "process")
@@ -260,10 +256,11 @@ def cost_contract_for(key: str) -> CostContract | None:
     return _COSTS.get(key)
 
 
-# The shipped kernels' contracts.  All per-slice engines are degree 2 in
-# the slice dimensions (the WorkModel's seconds_per_cell * rows * cols);
-# the batched engine's contract lives on ``_segmented_tabulate`` because
-# the public driver only adds chunking around it.
+# The shipped kernels' contracts.  All engines are degree 2 in the slice
+# dimensions (the WorkModel's seconds_per_cell * rows * cols).  The
+# per-slice engines' contracts sit on their kernels; the batched engine's
+# lives on ``_segmented_tabulate`` because its row entry only adds chunking
+# around it.
 declare_cost(
     CostContract(
         key="engine:python",
@@ -283,14 +280,6 @@ declare_cost(
 declare_cost(
     CostContract(
         key="engine:batched",
-        entry="repro.core.slices.tabulate_slice_batched",
-        degree=2,
-        polynomial="n_rows * n_cols (batch of one; segmented lift)",
-    )
-)
-declare_cost(
-    CostContract(
-        key="kernel:segmented",
         entry="repro.core.slices._segmented_tabulate",
         degree=2,
         polynomial="n_rows * width (width = n_seg + total columns)",

@@ -311,7 +311,7 @@ class Solver:
             out = ctx.result_memo(s1.length, s2.length)
             results = ctx.launch(
                 lambda comm: manager_worker_rank(
-                    comm, s1, s2, engine=plan.engine or "vectorized", out=out
+                    comm, s1, s2, engine=plan.engine or "batched", out=out
                 ),
                 n_ranks=plan.n_ranks,
                 backend=plan.backend,

@@ -145,7 +145,10 @@ class TestShippedKernelDegrees:
     def test_contract_inventory(self):
         keys = {contract.key for contract in kernel_costs()}
         assert {"engine:python", "engine:vectorized",
-                "engine:batched", "kernel:segmented"} <= keys
+                "engine:batched"} <= keys
+        assert cost_contract_for("engine:batched").entry.endswith(
+            "._segmented_tabulate"
+        )
 
     def test_batch_driver_is_degree_3_hence_not_declared(self):
         # The chunked batch driver re-walks columns per chunk: extracting

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.slices as slices_mod
 from repro.core.checkpoint import Checkpoint, CheckpointError, srna2_checkpointed
 from repro.core.srna2 import srna2
 from repro.structure.generators import comb_structure, contrived_worst_case
@@ -22,6 +23,32 @@ class TestUninterrupted:
         path = tmp_path / "run.ckpt.npz"
         srna2_checkpointed(s, s, path, every=2)
         assert not path.exists()
+
+    def test_one_row_call_per_outer_arc(self, tmp_path, monkeypatch):
+        """The batched engine checkpoints through its row entry: one
+        batch per outer arc, and one per-slice call for the parent
+        slice."""
+        s = contrived_worst_case(30)
+        expected = srna2(s, s).score
+        calls = {"row": 0, "slice": 0}
+        batched = slices_mod.tabulate_slices_batched
+        per_slice = slices_mod.ENGINES["batched"]
+
+        def row_spy(*args, **kwargs):
+            calls["row"] += 1
+            return batched(*args, **kwargs)
+
+        def slice_spy(*args, **kwargs):
+            calls["slice"] += 1
+            return per_slice(*args, **kwargs)
+
+        monkeypatch.setitem(slices_mod.ROW_ENGINES, "batched", row_spy)
+        monkeypatch.setitem(slices_mod.ENGINES, "batched", slice_spy)
+        result = srna2_checkpointed(
+            s, s, tmp_path / "run.npz", every=4, engine="batched"
+        )
+        assert result.score == expected
+        assert calls == {"row": s.n_arcs, "slice": 1}
 
     def test_invalid_every(self, tmp_path):
         s = comb_structure(1, 1)

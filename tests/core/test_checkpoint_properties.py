@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.checkpoint import srna2_checkpointed
 from repro.core.srna2 import srna2
+from repro.runtime.registry import ENGINE_NAMES
 from repro.structure.generators import rna_like_structure
 
 
@@ -16,10 +17,11 @@ from repro.structure.generators import rna_like_structure
     ),
     every=st.integers(min_value=1, max_value=9),
     seed=st.integers(min_value=0, max_value=50),
+    engine=st.sampled_from(ENGINE_NAMES),
 )
 @settings(max_examples=20, deadline=None)
 def test_any_preemption_schedule_resumes_identically(
-    budgets, every, seed, tmp_path_factory
+    budgets, every, seed, engine, tmp_path_factory
 ):
     structure = rna_like_structure(90, 20, seed=seed)
     reference = srna2(structure, structure)
@@ -28,13 +30,15 @@ def test_any_preemption_schedule_resumes_identically(
         try:
             result = srna2_checkpointed(
                 structure, structure, path,
-                every=every, interrupt_after=budget,
+                every=every, interrupt_after=budget, engine=engine,
             )
             break  # finished before the interrupt budget ran out
         except InterruptedError:
             continue
     else:
-        result = srna2_checkpointed(structure, structure, path, every=every)
+        result = srna2_checkpointed(
+            structure, structure, path, every=every, engine=engine
+        )
     assert result.score == reference.score
     assert np.array_equal(result.memo.values, reference.memo.values)
     assert not path.exists()

@@ -1,11 +1,11 @@
-"""Batched slice engine: cell-for-cell parity with the per-slice engines.
+"""Slice engines: cell-for-cell parity of the per-slice and row entries.
 
 The batched engine is the production default, so these tests pin its
-contract hard: every engine (python / vectorized / batched, plus the
-whole-batch entry point) must produce bit-identical slice tables on the
-same inputs — including empty, arcless, and single-arc degenerate cases —
-and the batch API must agree with per-slice tabulation for arbitrary
-ownership subsets, chunked gathers, and the non-integer-dtype fallback.
+contract hard: every per-slice kernel must produce bit-identical slice
+tables on the same inputs — including empty, arcless, and single-arc
+degenerate cases — and every row entry must agree with per-slice
+tabulation by the reference engine for arbitrary ownership subsets,
+chunked gathers, and the non-integer-dtype fallback.
 """
 
 import numpy as np
@@ -17,8 +17,8 @@ from repro.core.instrument import Instrumentation
 from repro.core.memo import DenseMemoTable
 from repro.core.slices import (
     ENGINES,
-    SliceTable,
-    tabulate_slice_batched,
+    ROW_ENGINES,
+    tabulate_slice_python,
     tabulate_slice_vectorized,
     tabulate_slices_batched,
 )
@@ -122,31 +122,20 @@ class TestAllEnginesAgree:
         assert len(set(expected)) == 1
         assert expected[0] == 1
 
-    def test_keep_table_shapes_match(self):
-        s = contrived_worst_case(16)
-        memo = _populated_memo(s, s)
-        vec = tabulate_slice_vectorized(
-            memo, s, s, 0, 15, 0, 15, keep_table=True
-        )
-        bat = tabulate_slice_batched(memo, s, s, 0, 15, 0, 15, keep_table=True)
-        assert isinstance(bat, SliceTable)
-        assert bat.rows.shape == vec.rows.shape
-        assert bat.rows.dtype == vec.rows.dtype
-        assert np.array_equal(bat.rows, vec.rows)
 
-    def test_batched_instrumentation_matches_vectorized(self):
-        s = contrived_worst_case(10)
-        memo = DenseMemoTable(10, 10)
-        counts = {}
-        for name in ("vectorized", "batched"):
-            inst = Instrumentation()
-            ENGINES[name](memo.values, s, s, 0, 9, 0, 9, instrumentation=inst)
-            counts[name] = (inst.slices_tabulated, inst.cells_tabulated)
-        assert counts["batched"] == counts["vectorized"] == (1, 25)
+def _per_slice_reference(memo, s1, s2, i1, j1, arcs2):
+    """The row a row entry must return: one python-engine call per arc."""
+    return [
+        tabulate_slice_python(
+            memo, s1, s2, i1, j1,
+            int(s2.lefts[b]) + 1, int(s2.rights[b]) - 1,
+        )
+        for b in arcs2
+    ]
 
 
 class TestBatchAPI:
-    """The whole-batch entry point against per-slice tabulation."""
+    """Every row entry against per-slice tabulation."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_full_batch_matches_per_slice(self, seed):
@@ -157,22 +146,16 @@ class TestBatchAPI:
         all_arcs2 = np.arange(s2.n_arcs, dtype=np.int64)
         for a in range(s1.n_arcs):
             i1, j1 = int(s1.lefts[a]), int(s1.rights[a])
-            got = tabulate_slices_batched(
+            expected = _per_slice_reference(
                 memo, s1, s2, i1 + 1, j1 - 1, all_arcs2
             )
-            expected = [
-                tabulate_slice_vectorized(
-                    memo, s1, s2,
-                    i1 + 1, j1 - 1,
-                    int(s2.lefts[b]) + 1, int(s2.rights[b]) - 1,
-                )
-                for b in all_arcs2
-            ]
-            assert got.tolist() == expected, (seed, a)
+            for name, row in ROW_ENGINES.items():
+                got = row(memo, s1, s2, i1 + 1, j1 - 1, all_arcs2)
+                assert got.tolist() == expected, (seed, a, name)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_ownership_subsets(self, seed):
-        """A batch over any arc subset (a rank's partition) agrees with
+        """A row over any arc subset (a rank's partition) agrees with
         per-slice results — the property PRNA's owned-column loop relies
         on."""
         s1 = rna_like_structure(40, 9, seed=seed)
@@ -186,30 +169,26 @@ class TestBatchAPI:
             subset = np.array([0], dtype=np.int64)
         a = int(rng.integers(0, s1.n_arcs))
         i1, j1 = int(s1.lefts[a]), int(s1.rights[a])
-        got = tabulate_slices_batched(memo, s1, s2, i1 + 1, j1 - 1, subset)
-        for k, b in enumerate(subset):
-            expected = tabulate_slice_vectorized(
-                memo, s1, s2,
-                i1 + 1, j1 - 1,
-                int(s2.lefts[b]) + 1, int(s2.rights[b]) - 1,
-            )
-            assert int(got[k]) == expected, (seed, a, int(b))
+        expected = _per_slice_reference(memo, s1, s2, i1 + 1, j1 - 1, subset)
+        for name, row in ROW_ENGINES.items():
+            got = row(memo, s1, s2, i1 + 1, j1 - 1, subset)
+            assert got.tolist() == expected, (seed, a, name)
 
     def test_empty_batch(self):
         s = contrived_worst_case(8)
         memo = DenseMemoTable(8, 8)
-        got = tabulate_slices_batched(memo.values, s, s, 1, 6, [])
-        assert got.shape == (0,)
+        for name, row in ROW_ENGINES.items():
+            got = row(memo.values, s, s, 1, 6, [])
+            assert got.shape == (0,), name
 
     def test_rowless_interval(self):
         """An S1 interval with no arcs yields all zeros (empty slices)."""
         s1 = from_dotbracket("()....")
         s2 = contrived_worst_case(8)
         memo = DenseMemoTable(6, 8)
-        got = tabulate_slices_batched(
-            memo.values, s1, s2, 2, 5, np.arange(s2.n_arcs)
-        )
-        assert (got == 0).all()
+        for name, row in ROW_ENGINES.items():
+            got = row(memo.values, s1, s2, 2, 5, np.arange(s2.n_arcs))
+            assert (got == 0).all(), name
 
     def test_empty_slices_interleaved(self):
         """Arcs with empty interiors — `()` — sit between non-empty ones;

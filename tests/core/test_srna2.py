@@ -44,7 +44,7 @@ class TestCorrectness:
 
     def test_unknown_engine(self):
         s = sequential_arcs(2)
-        with pytest.raises(ValueError, match="unknown slice engine"):
+        with pytest.raises(ValueError, match="unknown engine 'fortran'"):
             srna2(s, s, engine="fortran")
 
     def test_int32_dtype_option(self):

@@ -55,7 +55,7 @@ class TestAutoAlgorithm:
         hints = ResourceHints(max_ranks=8, predictable_costs=False)
         plan = Planner(hints).plan(large, large)
         assert plan.algorithm == "managerworker"
-        assert plan.engine == "vectorized"
+        assert plan.engine == "batched"
         assert plan.backend == "thread"
 
     def test_backtrace_pins_srna2(self, planner, large):

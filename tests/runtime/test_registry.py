@@ -2,13 +2,16 @@
 
 import pytest
 
-from repro.core.slices import BATCH_ENGINES, ENGINES
+from repro.core.checkpoint import srna2_checkpointed
+from repro.core.slices import ENGINES, ROW_ENGINES
+from repro.core.srna2 import srna2
+from repro.mpi.communicator import SelfCommunicator
+from repro.parallel.managerworker import manager_worker_rank
 from repro.runtime.registry import (
     ALGORITHMS,
     AUTO,
     BACKENDS,
     BATCH_ALGORITHMS,
-    BATCH_ENGINE_NAMES,
     ENGINE_NAMES,
     PARALLEL_ALGORITHMS,
     PARTITIONER_NAMES,
@@ -17,6 +20,7 @@ from repro.runtime.registry import (
     validate_choice,
 )
 from repro.scheduling.partition import PARTITIONERS
+from repro.structure.dotbracket import from_dotbracket
 
 
 class TestCatalogs:
@@ -32,9 +36,9 @@ class TestCatalogs:
         assert set(BATCH_ALGORITHMS) <= set(SEQUENTIAL_ALGORITHMS)
 
     def test_engine_names_mirror_implementations(self):
+        assert ENGINE_NAMES == ("batched", "python", "vectorized")
         assert ENGINE_NAMES == tuple(sorted(ENGINES))
-        assert BATCH_ENGINE_NAMES == tuple(sorted(BATCH_ENGINES))
-        assert set(BATCH_ENGINE_NAMES) <= set(ENGINE_NAMES)
+        assert ENGINE_NAMES == tuple(sorted(ROW_ENGINES))
 
     def test_partitioner_names_mirror_implementations(self):
         assert PARTITIONER_NAMES == tuple(sorted(PARTITIONERS))
@@ -73,6 +77,24 @@ class TestValidateChoice:
             validate_choice("engine", "bathced")
         with pytest.raises(ValueError, match="did you mean 'srna2'"):
             validate_choice("algorithm", "snra2")
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda s, tmp: srna2(s, s, engine="bathced"),
+            lambda s, tmp: srna2_checkpointed(
+                s, s, tmp / "run.npz", engine="bathced"
+            ),
+            lambda s, tmp: manager_worker_rank(
+                SelfCommunicator(), s, s, engine="bathced"
+            ),
+        ],
+        ids=["srna2", "srna2_checkpointed", "manager_worker_rank"],
+    )
+    def test_entry_points_share_engine_validation(self, run, tmp_path):
+        s = from_dotbracket("(())")
+        with pytest.raises(ValueError, match="did you mean 'batched'"):
+            run(s, tmp_path)
 
     def test_no_suggestion_for_garbage(self):
         with pytest.raises(ValueError) as excinfo:
