@@ -10,19 +10,23 @@ algorithm correct makes its prefix a valid checkpoint).
 
 Checkpoints are ``.npz`` files carrying the memo array, the resume index
 and a structure-pair digest so a checkpoint cannot silently resume against
-different inputs.
+different inputs.  :func:`srna2_checkpointed` runs SRNA2's stage driver
+from the saved index; the driver's per-arc hook saves and preempts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.instrument import Instrumentation
 from repro.core.memo import DenseMemoTable
 from repro.core.slices import ENGINES, ROW_ENGINES
+from repro.core.srna2 import SRNA2Result, run_stages
 from repro.errors import ReproError
 from repro.runtime.registry import validate_choice
 from repro.structure.arcs import Structure
@@ -56,17 +60,16 @@ class Checkpoint:
     def save(self, path: str | os.PathLike) -> None:
         """Atomically write the checkpoint (write-then-rename)."""
         path = os.fspath(path)
-        tmp_path = path + ".tmp"
+        # Ends in .npz so np.savez does not append the suffix itself.
+        tmp_path = path + ".tmp.npz"
         np.savez_compressed(
-            tmp_path if tmp_path.endswith(".npz") else tmp_path,
+            tmp_path,
             version=np.int64(_FORMAT_VERSION),
             next_arc=np.int64(self.next_arc),
             memo=self.memo_values,
             digest=np.frombuffer(self.digest.encode(), dtype=np.uint8),
         )
-        # np.savez appends .npz to names lacking it.
-        written = tmp_path if tmp_path.endswith(".npz") else tmp_path + ".npz"
-        os.replace(written, path)
+        os.replace(tmp_path, path)
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "Checkpoint":
@@ -84,7 +87,7 @@ class Checkpoint:
                     memo_values=payload["memo"].copy(),
                     digest=payload["digest"].tobytes().decode(),
                 )
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
 
 
@@ -96,30 +99,31 @@ def srna2_checkpointed(
     every: int = 64,
     engine: str = "batched",
     interrupt_after: int | None = None,
-):
+    instrumentation: Instrumentation | None = None,
+) -> SRNA2Result:
     """SRNA2 with periodic stage-one checkpoints at *path*.
 
     If *path* exists, the run resumes from it (after verifying the inputs
-    match via digest).  A checkpoint is written every *every* outer arcs
-    and once more when stage one completes; the file is removed after a
-    successful finish.
+    match via digest).  A checkpoint is written whenever the number of
+    completed outer arcs is a multiple of *every*; the file is removed
+    after a successful finish.
 
-    *interrupt_after* aborts the run with :class:`InterruptedError` after
-    that many outer arcs have been processed **in this invocation** — the
-    hook the failure-injection tests use to simulate preemption.
+    *interrupt_after* (>= 1) saves and aborts the run with
+    :class:`InterruptedError` once that many outer arcs have been processed
+    **in this invocation** and stage one is unfinished — the hook the
+    failure-injection tests use to simulate preemption.
 
-    Returns the same result object as :func:`repro.core.srna2.srna2`.
+    Returns the same result object as :func:`repro.core.srna2.srna2`;
+    *instrumentation* counts this invocation's slices and stage times.
     """
-    from repro.core.srna2 import SRNA2Result
-
     if every < 1:
         raise ValueError(f"every must be >= 1, got {every}")
+    if interrupt_after is not None and interrupt_after < 1:
+        raise ValueError(f"interrupt_after must be >= 1, got {interrupt_after}")
     validate_choice("engine", engine)
-    tabulate, tabulate_row = ENGINES[engine], ROW_ENGINES[engine]
 
     digest = _pair_digest(s1, s2)
-    n, m = s1.length, s2.length
-    memo = DenseMemoTable(n, m)
+    memo = DenseMemoTable(s1.length, s2.length)
     start_arc = 0
     path = os.fspath(path)
     if os.path.exists(path):
@@ -134,40 +138,33 @@ def srna2_checkpointed(
                 f"checkpoint memo shape {saved.memo_values.shape} does not "
                 f"match {memo.values.shape}"
             )
+        if not 0 <= saved.next_arc <= s1.n_arcs:
+            raise CheckpointError(
+                f"checkpoint resume index {saved.next_arc} is outside "
+                f"[0, {s1.n_arcs}]"
+            )
         memo.values[...] = saved.memo_values
         start_arc = saved.next_arc
 
-    values = memo.values
-    inner1 = s1.inner_ranges
-    lefts1 = s1.lefts.tolist()
-    rights1 = s1.rights.tolist()
-    all_arcs2 = np.arange(s2.n_arcs, dtype=np.int64)
-    row_cols = s2.lefts + 1
-
-    processed = 0
-    for a in range(start_arc, s1.n_arcs):
-        if interrupt_after is not None and processed >= interrupt_after:
-            Checkpoint(a, values, digest).save(path)
+    def checkpoint(next_arc: int) -> None:
+        processed = next_arc - start_arc
+        interrupt = (
+            interrupt_after is not None
+            and processed >= interrupt_after
+            and next_arc < s1.n_arcs
+        )
+        if interrupt or next_arc % every == 0:
+            Checkpoint(next_arc, memo.values, digest).save(path)
+        if interrupt:
             raise InterruptedError(
                 f"interrupted after {processed} outer arcs (checkpoint at "
-                f"arc {a} saved)"
+                f"arc {next_arc} saved)"
             )
-        i1, j1 = lefts1[a], rights1[a]
-        r1 = (int(inner1[a, 0]), int(inner1[a, 1]))
-        values[i1 + 1, row_cols] = tabulate_row(
-            values, s1, s2, i1 + 1, j1 - 1, all_arcs2, r1=r1
-        )
-        processed += 1
-        if (a + 1) % every == 0:
-            Checkpoint(a + 1, values, digest).save(path)
 
-    score = int(
-        tabulate(
-            values, s1, s2, 0, n - 1, 0, m - 1,
-            ranges=((0, s1.n_arcs), (0, s2.n_arcs)),
-        )
+    score = run_stages(
+        memo, s1, s2, ENGINES[engine], ROW_ENGINES[engine],
+        instrumentation=instrumentation, start_arc=start_arc, on_arc=checkpoint,
     )
-    memo.store(0, 0, score)
     if os.path.exists(path):
         os.remove(path)
-    return SRNA2Result(score, memo, None)
+    return SRNA2Result(int(score), memo, instrumentation)

@@ -15,9 +15,11 @@ computation so every memo read is *guaranteed* to hit:
 * **stage two** — tabulate the parent slice over the full sequences, reading
   ``M`` where matched arcs occur; its last cell is the MCOS size.
 
-This module is also the template for the parallel algorithm: PRNA
-(:mod:`repro.parallel.prna`) distributes stage one's inner loop across ranks
-and synchronizes each ``M`` row after the corresponding outer iteration.
+:func:`run_stages` is the one sequential driver of both stages: SRNA2,
+checkpointing, weighted scoring and manager-worker's single-rank world call
+it.  :func:`parent_slice` is the one stage-two call.  PRNA
+(:mod:`repro.parallel.prna`) keeps its own stage-one loops, which distribute
+the inner loop across ranks and synchronize each ``M`` row.
 """
 
 from __future__ import annotations
@@ -91,54 +93,82 @@ def srna2(
         least 32 bits is safe for realistic inputs.
     """
     validate_choice("engine", engine)
-    tabulate, tabulate_row = ENGINES[engine], ROW_ENGINES[engine]
-    n, m = s1.length, s2.length
-
-    def stage(name: str):
-        return (
-            instrumentation.stage(name)
-            if instrumentation is not None
-            else nullcontext()
-        )
-
     # Preprocessing: endpoint orders and inner ranges.  These are cached
     # properties of Structure, so touching them here both mirrors the
     # paper's preprocessing step and makes Table III's timing honest.
-    with stage("preprocessing"):
-        memo = DenseMemoTable(n, m, dtype=dtype if dtype is not None else np.int64)
-        inner1 = s1.inner_ranges
-        s2.inner_ranges  # cached here; the row entries read it
+    with _stage(instrumentation, "preprocessing"):
+        memo = DenseMemoTable(
+            s1.length, s2.length,
+            dtype=dtype if dtype is not None else np.int64,
+        )
+        s1.inner_ranges  # cached here; the driver and row entries read them
+        s2.inner_ranges
+    score = run_stages(
+        memo, s1, s2, ENGINES[engine], ROW_ENGINES[engine],
+        instrumentation=instrumentation,
+    )
+    return SRNA2Result(int(score), memo, instrumentation)
+
+
+def _stage(instrumentation: Instrumentation | None, name: str):
+    return (
+        instrumentation.stage(name)
+        if instrumentation is not None
+        else nullcontext()
+    )
+
+
+def parent_slice(
+    memo_values: np.ndarray, s1: Structure, s2: Structure, tabulate, *,
+    instrumentation: Instrumentation | None = None,
+):
+    """Stage two: the parent slice over the full sequences; its last cell
+    is the score, which the caller stores at ``M[0, 0]``."""
+    return tabulate(
+        memo_values, s1, s2, 0, s1.length - 1, 0, s2.length - 1,
+        ranges=((0, s1.n_arcs), (0, s2.n_arcs)),
+        instrumentation=instrumentation,
+    )
+
+
+def run_stages(
+    memo: DenseMemoTable,
+    s1: Structure,
+    s2: Structure,
+    tabulate,
+    tabulate_row,
+    *,
+    instrumentation: Instrumentation | None = None,
+    start_arc: int = 0,
+    on_arc=None,
+):
+    """Stages one and two of Algorithm 3 into *memo*; returns the score.
+
+    Stage one makes one *tabulate_row* call per S1 arc from *start_arc*
+    on (by increasing right endpoint) over every S2 arc and writes memo
+    row ``i1 + 1`` whole; no slice under ``(i1, j1)`` reads that row,
+    since shared endpoints are forbidden.  After each arc,
+    ``on_arc(next_arc)`` runs; the rows of arcs before it are final.
+    Stage two stores the parent slice's result at ``M[0, 0]``.
+    """
+    values = memo.values
+    with _stage(instrumentation, "stage_one"):
+        inner1 = s1.inner_ranges.tolist()
         lefts1 = s1.lefts.tolist()
         rights1 = s1.rights.tolist()
-        n_arcs1, n_arcs2 = s1.n_arcs, s2.n_arcs
-
-    # Stage one: tabulate every child slice, outer loop by increasing j1,
-    # one row-entry call per outer arc over every S2 arc (the arcs are
-    # stored in increasing-j2 order).  Writing the whole row at once is
-    # sound because no slice under (i1, j1) ever reads memo row i1 + 1
-    # (shared endpoints are forbidden, so every d2 reference lands on a
-    # row of a smaller right endpoint).
-    with stage("stage_one"):
-        values = memo.values
-        all_arcs2 = np.arange(n_arcs2, dtype=np.int64)
+        all_arcs2 = np.arange(s2.n_arcs, dtype=np.int64)
         row_cols = s2.lefts + 1
-        for a in range(n_arcs1):
-            i1, j1 = lefts1[a], rights1[a]
-            r1 = (int(inner1[a, 0]), int(inner1[a, 1]))
-            values[i1 + 1, row_cols] = tabulate_row(
-                values, s1, s2, i1 + 1, j1 - 1, all_arcs2,
-                r1=r1, instrumentation=instrumentation,
+        for a in range(start_arc, s1.n_arcs):
+            values[lefts1[a] + 1, row_cols] = tabulate_row(
+                values, s1, s2, lefts1[a] + 1, rights1[a] - 1, all_arcs2,
+                r1=tuple(inner1[a]), instrumentation=instrumentation,
             )
+            if on_arc is not None:
+                on_arc(a + 1)
 
-    # Stage two: the parent slice over the full sequences.
-    with stage("stage_two"):
-        score = int(
-            tabulate(
-                memo.values, s1, s2, 0, n - 1, 0, m - 1,
-                ranges=((0, n_arcs1), (0, n_arcs2)),
-                instrumentation=instrumentation,
-            )
+    with _stage(instrumentation, "stage_two"):
+        score = parent_slice(
+            values, s1, s2, tabulate, instrumentation=instrumentation
         )
         memo.store(0, 0, score)
-
-    return SRNA2Result(score, memo, instrumentation)
+    return score

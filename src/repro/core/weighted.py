@@ -18,10 +18,11 @@ Everything that makes SRNA2 work carries over unchanged: slice values
 remain monotone under the staircase maxima (candidates only ever *join* a
 running max), the child-slice identity is still the origin pair, and stage
 one's increasing-right-endpoint order still guarantees memo hits.  The
-implementation below is the weighted twin of
-:func:`repro.core.slices.tabulate_slice_vectorized` and
-:func:`repro.core.srna2.srna2`, with a float64 memo table, plus a dense
-4-D reference used by the tests.
+implementation below is a weighted twin of
+:func:`repro.core.slices.tabulate_slice_vectorized`, which
+:func:`weighted_mcos` hands to SRNA2's stage driver
+(:func:`repro.core.srna2.run_stages`) with a float64 memo table, plus a
+dense 4-D reference used by the tests.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 
 from repro.core.memo import DenseMemoTable
 from repro.core.slices import tabulate_slices_each
+from repro.core.srna2 import run_stages
 from repro.errors import StructureError
 from repro.structure.arcs import Structure
 
@@ -123,30 +125,11 @@ def weighted_mcos(
     :mod:`repro.core.weights` for builders.
     """
     weights = _check_weights(s1, s2, weights)
-    n, m = s1.length, s2.length
-    memo = DenseMemoTable(n, m, dtype=np.float64)
-    values = memo.values
-    inner1 = s1.inner_ranges
-    lefts1 = s1.lefts.tolist()
-    rights1 = s1.rights.tolist()
+    memo = DenseMemoTable(s1.length, s2.length, dtype=np.float64)
     tabulate = partial(_tabulate_weighted_slice, weights=weights)
-    all_arcs2 = np.arange(s2.n_arcs, dtype=np.int64)
-    row_cols = s2.lefts + 1
-
-    # Stage one: one row call per outer arc, by increasing right endpoint.
-    for a in range(s1.n_arcs):
-        i1, j1 = lefts1[a], rights1[a]
-        values[i1 + 1, row_cols] = tabulate_slices_each(
-            values, s1, s2, i1 + 1, j1 - 1, all_arcs2,
-            r1=(int(inner1[a, 0]), int(inner1[a, 1])), tabulate=tabulate,
-        )
-
-    # Stage two: the parent slice.
-    score = tabulate(
-        values, s1, s2, 0, n - 1, 0, m - 1,
-        ranges=((0, s1.n_arcs), (0, s2.n_arcs)),
+    score = run_stages(
+        memo, s1, s2, tabulate, partial(tabulate_slices_each, tabulate=tabulate)
     )
-    memo.store(0, 0, score)
     return WeightedResult(score, memo, weights)
 
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.memo import DenseMemoTable
 from repro.core.slices import ENGINES, ROW_ENGINES
+from repro.core.srna2 import parent_slice, run_stages
 from repro.errors import SimulationError
 from repro.mpi.communicator import Communicator
 from repro.mpi.costmodel import ClusterSpec, CostModel, DEFAULT_CLUSTER
@@ -104,7 +105,6 @@ def manager_worker_rank(
     """
     validate_choice("engine", engine)
     tabulate = ENGINES[engine]
-    n, m = s1.length, s2.length
     inner1 = s1.inner_ranges
     inner2 = s2.inner_ranges
     lefts1 = s1.lefts.tolist()
@@ -114,8 +114,7 @@ def manager_worker_rank(
 
     if comm.rank == 0:
         return _manager(
-            comm, s1, s2, tabulate, ROW_ENGINES[engine],
-            inner1, lefts1, rights1, lefts2, out,
+            comm, s1, s2, tabulate, ROW_ENGINES[engine], lefts1, lefts2, out,
         )
     return _worker(
         comm, s1, s2, tabulate,
@@ -124,30 +123,33 @@ def manager_worker_rank(
 
 
 def _manager(
-    comm, s1, s2, tabulate, tabulate_row,
-    inner1, lefts1, rights1, lefts2, out,
+    comm, s1, s2, tabulate, tabulate_row, lefts1, lefts2, out,
 ) -> ManagerWorkerResult:
-    n, m = s1.length, s2.length
-    memo = out if out is not None else DenseMemoTable(n, m)
-    values = memo.values
+    memo = out if out is not None else DenseMemoTable(s1.length, s2.length)
     workers = list(range(1, comm.size))
-    tasks_computed = 0
+    if workers:
+        _manage_stage_one(comm, s1, s2, memo.values, workers, lefts1, lefts2)
+        score = int(parent_slice(memo.values, s1, s2, tabulate))
+        memo.store(0, 0, score)
+        for worker in workers:
+            comm.send(("stop", -1, None), worker, _TAG_TASK)
+        tasks_computed = 0
+    else:
+        # A single-rank world is SRNA2: one row-entry call per outer arc.
+        score = int(run_stages(memo, s1, s2, tabulate, tabulate_row))
+        tasks_computed = s1.n_arcs * s2.n_arcs
+    score = comm.bcast(score, root=0)
+    return ManagerWorkerResult(
+        score, 0, comm.size, memo if out is None else None, tasks_computed
+    )
+
+
+def _manage_stage_one(comm, s1, s2, values, workers, lefts1, lefts2) -> None:
+    """Hand out each outer arc's child slices, one task per free worker."""
     # Workers whose task request has arrived but not yet been answered.
     waiting: deque[int] = deque()
-    # A single-rank world tabulates each row with one row-entry call.
-    all_arcs2 = np.arange(s2.n_arcs, dtype=np.int64)
-    row_cols = s2.lefts + 1
-
     for a in range(s1.n_arcs):
-        i1, j1 = lefts1[a], rights1[a]
-        r1 = (int(inner1[a, 0]), int(inner1[a, 1]))
-        row = values[i1 + 1]
-        if not workers:
-            row[row_cols] = tabulate_row(
-                values, s1, s2, i1 + 1, j1 - 1, all_arcs2, r1=r1
-            )
-            tasks_computed += s2.n_arcs
-            continue
+        row = values[lefts1[a] + 1]
         next_b = 0
         pending = 0
         while next_b < s2.n_arcs and waiting:
@@ -172,21 +174,6 @@ def _manager(
         # Row complete: publish it so later tasks read final values.
         for worker in workers:
             comm.send(("sync", a, row.copy()), worker, _TAG_TASK)
-
-    # Stage two on the manager; workers are released.
-    score = int(
-        tabulate(
-            values, s1, s2, 0, n - 1, 0, m - 1,
-            ranges=((0, s1.n_arcs), (0, s2.n_arcs)),
-        )
-    )
-    memo.store(0, 0, score)
-    for worker in workers:
-        comm.send(("stop", -1, None), worker, _TAG_TASK)
-    score = comm.bcast(score, root=0)
-    return ManagerWorkerResult(
-        score, 0, comm.size, memo if out is None else None, tasks_computed
-    )
 
 
 def _worker(

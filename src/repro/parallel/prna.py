@@ -36,6 +36,7 @@ import numpy as np
 from repro.core.instrument import Instrumentation
 from repro.core.memo import DenseMemoTable
 from repro.core.slices import ENGINES, ROW_ENGINES
+from repro.core.srna2 import parent_slice
 from repro.errors import CommunicatorError
 from repro.mpi.communicator import Communicator
 from repro.obs.tracer import NULL_SPAN, Tracer
@@ -295,10 +296,8 @@ def prna_rank(
         if comm.rank == 0:
             with span("parent_slice", "compute"):
                 score = int(
-                    tabulate(
-                        values, s1, s2, 0, n - 1, 0, m - 1,
-                        ranges=((0, s1.n_arcs), (0, s2.n_arcs)),
-                        instrumentation=inst,
+                    parent_slice(
+                        values, s1, s2, tabulate, instrumentation=inst
                     )
                 )
             if work_model is not None:

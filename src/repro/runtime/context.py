@@ -6,8 +6,7 @@ wire by hand: the communicator world (``self``/``thread``/``process``
 backends), the :class:`~repro.check.sanitizer.SanitizedCommunicator`
 wrapper, the :class:`~repro.obs.tracer.Tracer`, the
 :class:`~repro.obs.metrics.MetricsRegistry`, the parent-owned result
-table, checkpoint settings and the
-:mod:`repro.obs` run-record log.
+table and the :mod:`repro.obs` run-record log.
 
 Rule ``ARCH001`` of :mod:`repro.check` enforces the ownership: direct
 construction of any of these outside this module is a finding.  The one
@@ -81,9 +80,6 @@ class ExecutionContext:
         launches (:meth:`launch` calls ``enable_stats`` per rank).
     sanitize, sanitize_timeout:
         Wrap rank communicators with the SPMD sanitizer.
-    checkpoint_path, checkpoint_every:
-        Stage-one checkpoint store settings, consumed by the solver for
-        checkpointable algorithms.
     """
 
     def __init__(
@@ -97,8 +93,6 @@ class ExecutionContext:
         collect_stats: bool = False,
         sanitize: bool = False,
         sanitize_timeout: float = 30.0,
-        checkpoint_path: str | None = None,
-        checkpoint_every: int = 64,
     ):
         if tracer is None and (trace or trace_path is not None):
             tracer = _RAW["tracer"]()
@@ -109,8 +103,6 @@ class ExecutionContext:
         self.collect_stats = collect_stats
         self.sanitize = sanitize
         self.sanitize_timeout = sanitize_timeout
-        self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = checkpoint_every
         self.run_id = new_run_id()
         self.records: list[RunRecord] = []
 

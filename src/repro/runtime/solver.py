@@ -94,6 +94,7 @@ def _run_sequential(
             run = srna2_checkpointed(
                 s1, s2, checkpoint_path,
                 every=checkpoint_every, engine=engine or "batched",
+                instrumentation=instrumentation,
             )
         else:
             run = srna2(
@@ -213,7 +214,7 @@ class Solver:
                 algorithm=algorithm, engine=engine, backend=backend,
                 n_ranks=n_ranks, partitioner=partitioner,
                 sync_mode=sync_mode, sanitize=sanitize,
-                checkpoint_path=checkpoint_path or ctx.checkpoint_path,
+                checkpoint_path=checkpoint_path,
                 with_backtrace=with_backtrace,
             )
         if instrumentation is not None:
@@ -240,7 +241,7 @@ class Solver:
                 instrumentation=inst,
                 with_backtrace=with_backtrace,
                 checkpoint_path=plan.checkpoint_path,
-                checkpoint_every=checkpoint_every or ctx.checkpoint_every,
+                checkpoint_every=checkpoint_every,
             )
             result = SolveResult(
                 score=score, plan=plan, matched_pairs=pairs,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from repro.core.api import mcos
 from repro.core.checkpoint import srna2_checkpointed
+from repro.core.instrument import Instrumentation
 from repro.core.srna2 import srna2
 from repro.errors import ReproError
 from repro.runtime.context import ExecutionContext
@@ -13,7 +14,7 @@ from repro.runtime.plan import ResourceHints
 from repro.runtime.solver import Solver, solve, solve_batch
 
 from tests.conftest import make_random_pair, structure_pairs
-from repro.structure.generators import contrived_worst_case
+from repro.structure.generators import contrived_worst_case, rna_like_structure
 
 
 class TestAutoParity:
@@ -135,6 +136,31 @@ class TestCheckpointResume:
         assert result.algorithm == "srna2"
         assert result.score == reference.score
         assert np.array_equal(result.memo.values, reference.memo.values)
+
+    def test_checkpointed_run_is_instrumented(self, tmp_path):
+        """A checkpointed solve counts the same slices and cells as a plain
+        one and times both stages."""
+        structure = rna_like_structure(120, 20, seed=1)
+        plain, checkpointed = Instrumentation(), Instrumentation()
+        solve(structure, structure, algorithm="srna2", instrumentation=plain)
+        solve(
+            structure, structure, algorithm="srna2",
+            checkpoint_path=str(tmp_path / "run.ckpt"),
+            instrumentation=checkpointed,
+        )
+        assert (plain.slices_tabulated, plain.cells_tabulated) == (401, 9236)
+        assert checkpointed.slices_tabulated == plain.slices_tabulated
+        assert checkpointed.cells_tabulated == plain.cells_tabulated
+        assert checkpointed.stage_times.stage_one > 0
+        assert checkpointed.stage_times.stage_two > 0
+
+    def test_zero_checkpoint_interval_rejected(self, tmp_path):
+        structure = contrived_worst_case(20)
+        with pytest.raises(ValueError, match="every must be >= 1"):
+            solve(
+                structure, structure,
+                checkpoint_path=str(tmp_path / "x.ckpt"), checkpoint_every=0,
+            )
 
     def test_checkpoint_rejected_for_wrong_algorithm(self, tmp_path):
         with pytest.raises(ValueError, match="checkpointing requires"):

@@ -1,4 +1,4 @@
-"""The examples that drive the simulator API run end to end.
+"""Every example runs end to end.
 
 ``worstcase_scaling.py`` is left out: it sweeps to paper scale (minutes).
 """
@@ -11,7 +11,14 @@ import pytest
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
-@pytest.mark.parametrize("script", ["load_balance.py", "parallel_speedup.py"])
+SCRIPTS = sorted(
+    path.name
+    for path in EXAMPLES.glob("*.py")
+    if path.name != "worstcase_scaling.py"
+)
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
 def test_example_runs(script, capsys):
     runpy.run_path(str(EXAMPLES / script), run_name="__main__")
     assert capsys.readouterr().out.strip()
