@@ -84,13 +84,20 @@ plan-demo:
 verify: lint check-bench trace-demo bench-smoke bench-dataflow calibrate sanitize-demo plan-demo
 	PYTHONPATH=src $(PYTHON) -m repro.experiments verify
 
-# Tiny traced PRNA run: emits a Chrome trace (one track per rank),
-# validates the JSON schema on load, and prints the Figure 8 breakdown.
+# Tiny traced PRNA runs on process ranks: a 4-rank simulate run and the
+# planned compare --algorithm prna run on the n=120 worst case.  Each
+# emits a Chrome trace (one track per rank), validates the JSON schema on
+# load, and prints the Figure 8 breakdown.
 trace-demo:
 	PYTHONPATH=src $(PYTHON) -m repro.cli simulate --length 120 \
 		--procs 1,2,4 --trace trace-demo.json --trace-ranks 4
 	PYTHONPATH=src $(PYTHON) -m repro.cli trace-report trace-demo.json
-	@rm -f trace-demo.json
+	PYTHONPATH=src $(PYTHON) -m repro.cli generate worst-case --length 120 \
+		--output trace-demo.vienna
+	PYTHONPATH=src $(PYTHON) -m repro.cli compare trace-demo.vienna \
+		trace-demo.vienna --algorithm prna --trace trace-demo-compare.json
+	PYTHONPATH=src $(PYTHON) -m repro.cli trace-report trace-demo-compare.json
+	@rm -f trace-demo.json trace-demo.vienna trace-demo-compare.json
 	@echo "trace-demo: trace schema valid"
 
 examples:

@@ -93,20 +93,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
         print(render_comparison(s1, s2))
         return 0
-    from repro.runtime.solver import solve
+    from repro.runtime.context import ExecutionContext
+    from repro.runtime.solver import Solver
 
-    tracer = None
-    inst = None
-    if args.trace or args.metrics:
-        from repro.runtime.context import ExecutionContext
-
-        context = ExecutionContext(trace=bool(args.trace))
-        tracer = context.tracer
-        inst = context.instrumentation()
-    result = solve(
+    context = ExecutionContext(trace=bool(args.trace))
+    result = Solver(context=context).solve(
         s1, s2, algorithm=args.algorithm, engine=args.engine,
         sync_mode=args.sync_mode,
-        with_backtrace=args.backtrace, instrumentation=inst,
+        with_backtrace=args.backtrace,
+        instrument=bool(args.trace or args.metrics),
+        collect_stats=bool(args.metrics),
         record_kind="compare",
     )
     print(f"MCOS score: {result.score}")
@@ -118,20 +114,22 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ordered = sorted(result.matched_pairs, key=lambda p: p.arc1.left)
         for pair in ordered:
             print(f"  {tuple(pair.arc1)} <-> {tuple(pair.arc2)}")
-    if tracer is not None:
-        _write_trace(tracer, args.trace)
+    if args.trace:
+        _write_trace(context.tracer, args.trace)
     if args.metrics:
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        inst.to_metrics(registry)
+        # Sequential plans fill the instrumentation; parallel ones count
+        # their communication instead.
+        if result.instrumentation is not None:
+            counters = result.instrumentation.summary()
+        else:
+            counters = {"comm_stats": result.comm_stats}
         _append_metrics(
             args.metrics,
             "compare",
             {"algorithm": result.algorithm, "s1_arcs": s1.n_arcs,
              "s2_arcs": s2.n_arcs, "score": result.score,
              "plan": result.plan.to_dict()},
-            registry.as_dict(),
+            counters,
         )
     return 0
 
@@ -235,22 +233,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     executed_stats = None
     if args.trace:
-        from repro.parallel.prna import prna
         from repro.runtime.context import ExecutionContext
+        from repro.runtime.solver import Solver
 
-        tracer = ExecutionContext(trace=True).tracer
-        executed = prna(
-            structure, structure, args.trace_ranks,
-            backend="thread", partitioner=args.partitioner,
-            tracer=tracer, collect_stats=True,
+        context = ExecutionContext(trace=True)
+        executed = Solver(context=context).solve(
+            structure, structure, algorithm="prna",
+            n_ranks=args.trace_ranks, partitioner=args.partitioner,
+            collect_stats=True,
         )
         executed_stats = executed.comm_stats
         print(
             f"executed a traced {args.trace_ranks}-rank PRNA run "
-            f"(score {executed.score}, "
-            f"{(executed_stats or {}).get('allreduces', 0)} Allreduces)"
+            f"(score {executed.score}, {executed.plan.backend} backend, "
+            f"{executed.plan.sync_mode} schedule)"
         )
-        _write_trace(tracer, args.trace)
+        _write_trace(context.tracer, args.trace)
     if args.metrics:
         _append_metrics(
             args.metrics,
@@ -385,8 +383,9 @@ def main(argv: list[str] | None = None) -> int:
     simulate.add_argument(
         "--trace", metavar="PATH", default=None,
         help=(
-            "also execute a traced PRNA run on the thread backend and "
-            "write its per-rank timeline as a Chrome trace-event file"
+            "also execute a traced PRNA run as planned (process ranks on "
+            "POSIX) and write its per-rank timeline as a Chrome "
+            "trace-event file"
         ),
     )
     simulate.add_argument(

@@ -106,7 +106,8 @@ def srna2_checkpointed(
     If *path* exists, the run resumes from it (after verifying the inputs
     match via digest).  A checkpoint is written whenever the number of
     completed outer arcs is a multiple of *every*; the file is removed
-    after a successful finish.
+    after a successful finish.  A *path* whose directory is missing or
+    not writable raises :class:`CheckpointError` before stage one starts.
 
     *interrupt_after* (>= 1) saves and aborts the run with
     :class:`InterruptedError` once that many outer arcs have been processed
@@ -126,6 +127,12 @@ def srna2_checkpointed(
     memo = DenseMemoTable(s1.length, s2.length)
     start_arc = 0
     path = os.fspath(path)
+    directory = os.path.dirname(path) or "."
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
+        raise CheckpointError(
+            f"cannot write checkpoint {path!r}: {directory!r} is not a "
+            "writable directory"
+        )
     if os.path.exists(path):
         saved = Checkpoint.load(path)
         if saved.digest != digest:

@@ -143,18 +143,3 @@ class Instrumentation:
             "time_total": self.stage_times.total,
         }
         return out
-
-    def to_metrics(self, registry, prefix: str = "") -> None:
-        """Feed every counter and stage time into a metrics registry.
-
-        *registry* is a :class:`repro.obs.metrics.MetricsRegistry` (duck-
-        typed to keep :mod:`repro.core` free of observability imports):
-        integer counters become registry counters, stage seconds become
-        gauges.
-        """
-        for key, value in self.summary().items():
-            name = prefix + key
-            if key.startswith("time_"):
-                registry.gauge(name).set(float(value))
-            else:
-                registry.counter(name).inc(int(value))

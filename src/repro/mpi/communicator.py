@@ -116,17 +116,6 @@ class CommStats:
         """All counters as a plain dictionary."""
         return {name: getattr(self, name) for name in self.__slots__}
 
-    def to_metrics(self, registry, prefix: str = "comm_") -> None:
-        """Feed every counter into a metrics registry.
-
-        *registry* is a :class:`repro.obs.metrics.MetricsRegistry`
-        (duck-typed so :mod:`repro.mpi` stays import-light); counters are
-        prefixed (default ``comm_``) to keep one registry shareable across
-        producers.
-        """
-        for name, value in self.as_dict().items():
-            registry.counter(prefix + name).inc(int(value))
-
     def __repr__(self) -> str:
         parts = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"CommStats({parts})"

@@ -1,12 +1,12 @@
-"""repro.obs — unified tracing and metrics for the whole library.
+"""repro.obs — unified tracing and run records for the whole library.
 
 "No optimization without measuring" (ROADMAP): this package is the common
 substrate every experiment and performance PR reports against.
 
 * :mod:`repro.obs.tracer` — span-based tracing with one track per PRNA
-  rank, exported as Chrome trace-event JSON (open in https://ui.perfetto.dev);
-* :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket histograms
-  in a thread-safe registry;
+  rank on every backend (process ranks ship their spans back through
+  :meth:`~repro.runtime.ExecutionContext.launch`), exported as Chrome
+  trace-event JSON (open in https://ui.perfetto.dev);
 * :mod:`repro.obs.runrecord` — append-only JSONL run records carrying a
   run id and environment snapshot;
 * :mod:`repro.obs.report` — per-rank compute/comm-wait/idle summaries of a
@@ -15,7 +15,6 @@ substrate every experiment and performance PR reports against.
 See ``docs/observability.md`` for the event model and a worked example.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import RankSummary, TraceReport, summarize_trace
 from repro.obs.runrecord import (
     RunRecord,
@@ -32,10 +31,6 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "RankSummary",
     "RunRecord",
     "SpanEvent",

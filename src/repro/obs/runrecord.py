@@ -6,9 +6,10 @@ exactly that and appends as one line of JSON to a log file, so longitudinal
 analysis is ``[json.loads(line) for line in open(path)]`` — no database, no
 schema migration, append-only.
 
-The ``metrics`` field typically holds a
-:meth:`~repro.obs.metrics.MetricsRegistry.as_dict` snapshot or an
-experiment's row dictionaries; anything JSON-serializable is accepted.
+The ``metrics`` field typically holds a solve's score and wall time, an
+:meth:`~repro.core.instrument.Instrumentation.summary`, a
+:class:`~repro.mpi.communicator.CommStats` dictionary or an experiment's
+row dictionaries; anything JSON-serializable is accepted.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 __all__ = [
     "SpanEvent",
@@ -170,6 +170,17 @@ class Tracer:
             return
         with self._lock:
             self._track_names[rank] = name
+
+    def merge(self, events: Iterable[SpanEvent]) -> None:
+        """Append spans recorded elsewhere against this tracer's epoch.
+
+        :meth:`ExecutionContext.launch` returns a forked process rank's
+        spans this way: the child inherits ``_epoch`` at fork and
+        :func:`time.perf_counter` is one system-wide monotonic clock on
+        Linux, so the child's offsets need no rebasing.
+        """
+        with self._lock:
+            self._events.extend(events)
 
     # ------------------------------------------------------------------
     @property

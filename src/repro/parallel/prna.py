@@ -183,7 +183,6 @@ def prna_rank(
         raise ValueError(f"out table has shape {out.shape}, expected {shape}")
 
     if tracer is not None:
-        tracer.name_track(comm.rank, f"rank {comm.rank}")
 
         def span(name: str, category: str, **args):
             return tracer.span(name, rank=comm.rank, category=category, **args)
@@ -349,9 +348,10 @@ def prna(
     requires ``n_ranks == 1``).  When *cost_model* is given, virtual clocks
     are enabled and the returned result carries the simulated time.
 
-    With *tracer* (thread/self backends only — process ranks cannot share
-    an in-memory tracer), every rank records its timeline on its own
-    track; with ``collect_stats=True`` the result carries the rank's
+    With *tracer*, every rank records its timeline on its own track, on
+    any backend (process ranks' spans come back through
+    :meth:`ExecutionContext.launch`); with ``collect_stats=True`` the
+    result carries the rank's
     :class:`~repro.mpi.communicator.CommStats` counters as a dict.
 
     ``sanitize=True`` runs the whole computation under the runtime SPMD

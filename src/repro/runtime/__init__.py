@@ -12,8 +12,8 @@ the experiment harness) routes through three layers defined here:
   (:mod:`repro.mpi.costmodel`).
 * **Layer 2 — execution context** (:mod:`repro.runtime.context`): the
   single place that constructs and owns communicators (including
-  sanitizer wrapping), tracers, metrics registries, the shared result
-  table and checkpoint stores.  Rule ARCH001 of :mod:`repro.check`
+  sanitizer wrapping), the tracer, the shared result table and the
+  run-record log.  Rule ARCH001 of :mod:`repro.check`
   enforces that nothing else in the tree constructs these directly.
 * **Layer 3 — solving** (:mod:`repro.runtime.solver`): the
   :class:`Solver` facade — ``solve(s1, s2)`` and ``solve_batch(query,

@@ -4,9 +4,13 @@
 constructs and owns the run-scoped machinery every entry point used to
 wire by hand: the communicator world (``self``/``thread``/``process``
 backends), the :class:`~repro.check.sanitizer.SanitizedCommunicator`
-wrapper, the :class:`~repro.obs.tracer.Tracer`, the
-:class:`~repro.obs.metrics.MetricsRegistry`, the parent-owned result
+wrapper, the :class:`~repro.obs.tracer.Tracer`, the parent-owned result
 table and the :mod:`repro.obs` run-record log.
+
+One tracer serves every backend: thread and self ranks record into it
+directly, and :meth:`ExecutionContext.launch` ships each forked process
+rank's spans back with its result, so a traced run plans and runs exactly
+like an untraced one.
 
 Rule ``ARCH001`` of :mod:`repro.check` enforces the ownership: direct
 construction of any of these outside this module is a finding.  The one
@@ -30,7 +34,6 @@ from repro.mpi.communicator import Communicator, SelfCommunicator
 from repro.mpi.costmodel import CostModel
 from repro.mpi.inprocess import run_threaded
 from repro.mpi.process import run_multiprocess
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.runrecord import RunRecord, append_run_record, new_run_id
 from repro.obs.tracer import Tracer
 from repro.runtime.plan import Plan
@@ -69,9 +72,6 @@ class ExecutionContext:
     trace, trace_path:
         Enable span recording; :meth:`write_trace` (also called on
         context-manager exit) writes Chrome trace JSON to *trace_path*.
-    metrics:
-        A caller-owned :class:`MetricsRegistry` to adopt (default: own a
-        fresh one).
     run_log_path:
         JSONL run-record log; :meth:`record` appends there.  Records are
         also kept in memory (:attr:`records`) either way.
@@ -88,7 +88,6 @@ class ExecutionContext:
         tracer: Tracer | None = None,
         trace: bool = False,
         trace_path: str | None = None,
-        metrics: MetricsRegistry | None = None,
         run_log_path: str | None = None,
         collect_stats: bool = False,
         sanitize: bool = False,
@@ -98,7 +97,6 @@ class ExecutionContext:
             tracer = _RAW["tracer"]()
         self.tracer: Tracer | None = tracer
         self.trace_path = trace_path
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.run_log_path = run_log_path
         self.collect_stats = collect_stats
         self.sanitize = sanitize
@@ -134,26 +132,6 @@ class ExecutionContext:
         """A fresh :class:`Instrumentation` wired to this context's tracer."""
         return Instrumentation(tracer=self.tracer)
 
-    def self_communicator(self, cost_model: CostModel | None = None) -> Communicator:
-        """The trivial single-rank world (virtual clock with *cost_model*)."""
-        clock = None
-        if cost_model is not None:
-            from repro.mpi.virtualtime import VirtualClock
-
-            clock = VirtualClock()
-        comm: Communicator = _RAW["self_comm"](clock, cost_model)
-        return self._prepare(comm)
-
-    def _prepare(self, comm: Communicator) -> Communicator:
-        """Apply this context's per-rank communicator policy."""
-        if self.collect_stats:
-            comm.enable_stats()
-        if self.sanitize:
-            comm = sanitize_communicator(
-                comm, timeout=self.sanitize_timeout, tracer=self.tracer
-            )
-        return comm
-
     def launch(
         self,
         rank_main: Callable[[Communicator], Any],
@@ -172,14 +150,14 @@ class ExecutionContext:
         rank; sanitizer wrapping stays with the algorithm body (which
         knows the memo ownership to register), via
         :func:`sanitize_communicator`.
+
+        With a tracer, process ranks record into their forked copy of it
+        and return the spans recorded after the fork beside their value;
+        the parent merges them (:meth:`Tracer.merge`), so every backend
+        yields the same one-track-per-rank trace.
         """
         if n_ranks < 1:
             raise SimulationError(f"n_ranks must be >= 1, got {n_ranks}")
-        if self.tracer is not None and backend == "process":
-            raise SimulationError(
-                "tracing requires the 'thread' or 'self' backend; process "
-                "ranks cannot record into a shared in-memory tracer"
-            )
 
         def body(comm: Communicator) -> Any:
             if self.collect_stats:
@@ -203,11 +181,29 @@ class ExecutionContext:
             return [result]
         if backend == "thread":
             return _RAW["threaded"](body, n_ranks, cost_model=cost_model)
-        if backend == "process":
+        if backend != "process":
+            raise ValueError(
+                f"unknown backend {backend!r}; one of 'thread', 'process', 'self'"
+            )
+        tracer = self.tracer
+        if tracer is None:
             return _RAW["multiprocess"](body, n_ranks, cost_model=cost_model)
-        raise ValueError(
-            f"unknown backend {backend!r}; one of 'thread', 'process', 'self'"
-        )
+
+        def traced(comm: Communicator) -> Any:
+            inherited = len(tracer.events)
+            value = body(comm)
+            return value, tracer.events[inherited:]
+
+        results = []
+        for item in _RAW["multiprocess"](traced, n_ranks, cost_model=cost_model):
+            if cost_model is not None:
+                (value, events), simulated = item
+                value = (value, simulated)
+            else:
+                value, events = item
+            tracer.merge(events)
+            results.append(value)
+        return results
 
     # ------------------------------------------------------------------
     def record(
@@ -221,18 +217,14 @@ class ExecutionContext:
         """Append a run record — with the serialized plan — to the log.
 
         Records always accumulate on :attr:`records`; they are written to
-        :attr:`run_log_path` when one is configured.  A non-empty metrics
-        registry snapshot rides along under ``metrics["instruments"]``.
+        :attr:`run_log_path` when one is configured.
         """
         params = dict(parameters or {})
         if plan is not None:
             params["plan"] = plan.to_dict()
-        payload = dict(metrics or {})
-        snapshot = self.metrics.as_dict()
-        if any(snapshot.values()):
-            payload.setdefault("instruments", snapshot)
         record = RunRecord(
-            run_id=self.run_id, kind=kind, parameters=params, metrics=payload
+            run_id=self.run_id, kind=kind, parameters=params,
+            metrics=dict(metrics or {}),
         )
         self.records.append(record)
         if self.run_log_path is not None:

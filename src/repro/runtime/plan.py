@@ -108,9 +108,6 @@ class ResourceHints:
         known outer product, so static greedy partitioning wins.  ``False``
         declares heterogeneous/unknown task costs and switches ``auto`` to
         the dynamic manager-worker scheme.
-    trace:
-        The run will carry an in-memory tracer; rules out the process
-        backend (its ranks cannot share one).
     work_model:
         Calibration data — e.g. the host fit from
         :func:`repro.perf.calibrate.calibrate_work_model`.  Default: the
@@ -123,7 +120,6 @@ class ResourceHints:
     backend: str = AUTO
     memory_bytes: int | None = None
     predictable_costs: bool = True
-    trace: bool = False
     work_model: WorkModel | None = None
     cluster: ClusterSpec | None = None
 
@@ -519,12 +515,6 @@ class Planner:
             rationale.append(
                 "backend auto -> 'thread' (the manager polls per-worker "
                 "point-to-point queues, an in-process protocol)"
-            )
-            return "thread"
-        if self.hints.trace:
-            rationale.append(
-                "backend auto -> 'thread' (tracing requires ranks sharing "
-                "an in-memory tracer)"
             )
             return "thread"
         if os.name == "posix":

@@ -16,7 +16,7 @@ inside the dispatch methods.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.core.backtrace import MatchedPair, backtrace
@@ -156,15 +156,6 @@ class Solver:
         """Resolve a plan without executing it (see :meth:`Planner.plan`)."""
         return self.planner.plan(_coerce(s1), _coerce(s2), **options)
 
-    def _planner_for(self, ctx: ExecutionContext) -> Planner:
-        """The planner, made tracing-aware when the context carries a tracer."""
-        if ctx.tracer is not None and not self.planner.hints.trace:
-            return Planner(
-                replace(self.planner.hints, trace=True),
-                threshold_seconds=self.planner.threshold_seconds,
-            )
-        return self.planner
-
     # ------------------------------------------------------------------
     def solve(
         self,
@@ -197,7 +188,10 @@ class Solver:
         :class:`Plan` is returned on the result and serialized into the
         run record appended to the context.  The record's ``wall_s``
         metric is the measured execution time (planning excluded), the
-        quantity ``plan.estimated_seconds`` predicts.
+        quantity ``plan.estimated_seconds`` predicts.  Only sequential
+        plans fill *instrumentation* / *instrument*; a parallel result's
+        ``instrumentation`` is ``None`` and its counters are
+        ``comm_stats`` (with *collect_stats*).
         """
         s1 = _coerce(s1)
         s2 = _coerce(s2)
@@ -209,7 +203,7 @@ class Solver:
                 sanitize_timeout=sanitize_timeout,
             )
         if plan is None:
-            plan = self._planner_for(ctx).plan(
+            plan = self.planner.plan(
                 s1, s2,
                 algorithm=algorithm, engine=engine, backend=backend,
                 n_ranks=n_ranks, partitioner=partitioner,
@@ -234,7 +228,6 @@ class Solver:
                 validate=validate,
                 sanitize_timeout=sanitize_timeout,
             )
-            result.instrumentation = result.instrumentation or inst
         else:
             score, memo, pairs = _run_sequential(
                 s1, s2, plan.algorithm, plan.engine,
@@ -360,7 +353,7 @@ class Solver:
         ctx = context or self.context
         if ctx is None:
             ctx = ExecutionContext()
-        plan = self._planner_for(ctx).plan_batch(
+        plan = self.planner.plan_batch(
             query, dict(items),
             algorithm=algorithm, engine=engine, n_workers=n_workers,
         )

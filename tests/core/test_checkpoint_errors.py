@@ -56,3 +56,22 @@ def test_zero_interrupt_budget_rejected(tmp_path):
         srna2_checkpointed(
             structure, structure, tmp_path / "x.npz", interrupt_after=0
         )
+
+
+
+@pytest.mark.parametrize("every", [10, 1000])
+def test_unwritable_path_rejected_before_stage_one(tmp_path, every):
+    """A missing directory fails at once, whether or not a save is due."""
+    from repro.core.instrument import Instrumentation
+    from repro.runtime.solver import solve
+
+    structure = contrived_worst_case(200)
+    path = tmp_path / "missing" / "x.ckpt"
+    inst = Instrumentation()
+    with pytest.raises(CheckpointError, match="x.ckpt.*not a writable directory"):
+        solve(
+            structure, structure, checkpoint_path=str(path),
+            checkpoint_every=every, instrumentation=inst,
+        )
+    assert inst.slices_tabulated == 0
+    assert not path.parent.exists()

@@ -1,8 +1,7 @@
-"""End-to-end: a traced multi-rank PRNA run on the in-process backend."""
+"""End-to-end: traced multi-rank PRNA runs on the thread and process backends."""
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.obs.report import summarize_trace
 from repro.obs.tracer import Tracer, validate_chrome_trace
 from repro.parallel.prna import prna
@@ -106,10 +105,19 @@ class TestTracedPRNA:
         assert result.score == structure.n_arcs
         assert result.comm_stats is None
 
-    def test_process_backend_rejects_tracer(self):
-        structure = contrived_worst_case(8)
-        with pytest.raises(SimulationError, match="thread"):
-            prna(
-                structure, structure, 2,
-                backend="process", tracer=Tracer(),
-            )
+    def test_process_backend_traces_every_rank(self):
+        """Forked ranks ship their spans back: same tracks as threads."""
+        structure = contrived_worst_case(LENGTH)
+        tracer = Tracer()
+        result = prna(
+            structure, structure, 2, backend="process", tracer=tracer,
+        )
+        assert result.score == structure.n_arcs
+        assert {e.rank for e in tracer.events} == {0, 1}
+        for rank in (0, 1):
+            rows = [
+                e for e in tracer.events
+                if e.rank == rank and e.name == "tabulate_row"
+            ]
+            assert len(rows) == structure.n_arcs
+        assert validate_chrome_trace(tracer.to_chrome_trace()) == []

@@ -85,6 +85,16 @@ class TestDisabledMode:
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0  # generous: ~microseconds each even on CI
 
+    def test_merge_appends_foreign_spans_unchanged(self):
+        source, target = Tracer(), Tracer()
+        with source.span("remote", rank=1, category="compute"):
+            pass
+        with target.span("local", rank=0):
+            pass
+        target.merge(source.events)
+        assert [e.name for e in target.events] == ["local", "remote"]
+        assert target.events[1] == source.events[0]
+
     def test_name_track_noop_when_disabled(self):
         tracer = Tracer(enabled=False)
         tracer.name_track(0, "rank 0")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.check.sanitizer import SanitizedCommunicator
 from repro.errors import SimulationError
+from repro.mpi.costmodel import CostModel
 from repro.runtime.context import ExecutionContext, sanitize_communicator
 from repro.runtime.plan import Planner
 from repro.structure.generators import contrived_worst_case
@@ -40,11 +41,6 @@ class TestLaunch:
                 lambda comm: None, n_ranks=1, backend="bogus"
             )
 
-    def test_tracer_incompatible_with_process_backend(self):
-        context = ExecutionContext(trace=True)
-        with pytest.raises(SimulationError, match="shared in-memory tracer"):
-            context.launch(lambda comm: None, n_ranks=2, backend="process")
-
     def test_collect_stats_policy_applied_per_rank(self):
         context = ExecutionContext(collect_stats=True)
 
@@ -56,9 +52,66 @@ class TestLaunch:
         assert results == [1, 1]
 
 
+class TestProcessRankSpans:
+    """Process ranks record into their forked tracer and ship spans back."""
+
+    def test_spans_from_every_rank_inside_launch_window(self):
+        context = ExecutionContext(trace=True)
+        tracer = context.tracer
+
+        def rank_main(comm):
+            with tracer.span("work", rank=comm.rank, category="compute"):
+                comm.barrier()
+            return comm.rank
+
+        with tracer.span("before", rank=9):
+            pass
+        results = context.launch(rank_main, n_ranks=2, backend="process")
+        with tracer.span("after", rank=9):
+            pass
+        assert results == [0, 1]
+        names = [e.name for e in tracer.events]
+        # Spans recorded before the fork are not shipped back twice.
+        assert names.count("before") == 1
+        before, after = (
+            tracer.events[names.index(name)] for name in ("before", "after")
+        )
+        work = [e for e in tracer.events if e.name == "work"]
+        assert sorted(e.rank for e in work) == [0, 1]
+        for event in work:
+            assert before.end <= event.start <= event.end <= after.start
+
+    def test_cost_model_results_stay_pairs(self):
+        context = ExecutionContext(trace=True)
+        tracer = context.tracer
+
+        def rank_main(comm):
+            with tracer.span("work", rank=comm.rank, category="compute"):
+                comm.charge_compute(0.5)
+            return comm.rank
+
+        results = context.launch(
+            rank_main, n_ranks=2, backend="process", cost_model=CostModel()
+        )
+        assert [value for value, _ in results] == [0, 1]
+        assert all(simulated >= 0.5 for _, simulated in results)
+        assert sorted(e.rank for e in tracer.events) == [0, 1]
+
+    def test_sanitizer_spans_arrive(self):
+        context = ExecutionContext(trace=True)
+        tracer = context.tracer
+
+        def rank_main(comm):
+            sanitize_communicator(comm, tracer=tracer).barrier()
+
+        context.launch(rank_main, n_ranks=2, backend="process")
+        ranks = {e.rank for e in tracer.events if e.category == "sanitizer"}
+        assert ranks == {0, 1}
+
+
 class TestOwnership:
     def test_sanitize_communicator_is_idempotent(self):
-        comm = ExecutionContext(sanitize=True).self_communicator()
+        (comm,) = ExecutionContext().launch(sanitize_communicator, backend="self")
         assert isinstance(comm, SanitizedCommunicator)
         assert sanitize_communicator(comm) is comm
 

@@ -90,13 +90,6 @@ class TestExplicitChoices:
         with pytest.raises(ValueError, match="did you mean 'vectorized'"):
             planner.plan(small, small, engine="vectorised")
 
-    def test_trace_hint_rules_out_process_backend(self, large):
-        plan = Planner(ResourceHints(max_ranks=8, trace=True)).plan(
-            large, large
-        )
-        assert plan.algorithm == "prna"
-        assert plan.backend == "thread"
-
 
 class TestPlanObject:
     def test_plan_is_frozen(self, planner, small):

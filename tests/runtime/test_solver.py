@@ -9,6 +9,7 @@ from repro.core.checkpoint import srna2_checkpointed
 from repro.core.instrument import Instrumentation
 from repro.core.srna2 import srna2
 from repro.errors import ReproError
+from repro.obs.tracer import validate_chrome_trace
 from repro.runtime.context import ExecutionContext
 from repro.runtime.plan import ResourceHints
 from repro.runtime.solver import Solver, solve, solve_batch
@@ -121,6 +122,43 @@ class TestSolveSurface:
         )
         assert result.comm_stats is not None
         assert result.comm_stats["allreduces"] >= 0
+
+    def test_parallel_result_leaves_instrumentation_unset(self):
+        """PRNA fills no Instrumentation, so none is attached to report 0s."""
+        s1, s2 = make_random_pair(3)
+        result = solve(
+            s1, s2, algorithm="prna", n_ranks=2, backend="thread",
+            instrumentation=Instrumentation(),
+        )
+        assert result.instrumentation is None
+
+
+class TestTracedSolve:
+    """A tracing context changes neither the plan nor the executed run."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        structure = contrived_worst_case(400)
+        hints = ResourceHints(max_ranks=2)
+        untraced = solve(structure, structure, hints=hints)
+        context = ExecutionContext(trace=True)
+        traced = Solver(hints, context=context).solve(structure, structure)
+        return untraced, traced, context.tracer
+
+    def test_same_plan_as_untraced(self, runs):
+        untraced, traced, _ = runs
+        assert traced.plan.to_dict() == untraced.plan.to_dict()
+        plan = traced.plan
+        assert (plan.algorithm, plan.backend, plan.n_ranks, plan.sync_mode) == (
+            "prna", "process", 2, "dataflow"
+        )
+        assert traced.score == untraced.score == 200
+
+    def test_one_compute_track_per_process_rank(self, runs):
+        _, _, tracer = runs
+        compute = {e.rank for e in tracer.events if e.category == "compute"}
+        assert compute == {0, 1}
+        assert validate_chrome_trace(tracer.to_chrome_trace()) == []
 
 
 class TestCheckpointResume:

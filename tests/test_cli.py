@@ -185,12 +185,43 @@ class TestObservability:
         assert {"preprocessing", "stage_one", "stage_two"} <= names
         (record,) = load_run_records(str(metrics))
         assert record["kind"] == "compare"
-        assert record["metrics"]["counters"]["slices_tabulated"] > 0
+        assert record["metrics"]["slices_tabulated"] > 0
         # Every compare record carries the serialized plan + rationale.
         plan = record["parameters"]["plan"]
         assert plan["algorithm"] == "srna2"
         assert "plan[pair]" in plan["explain"]
         assert plan["rationale"]
+
+    def test_compare_prna_traces_every_process_rank(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The traced context is the one the solve runs under."""
+        from repro.obs.runrecord import load_run_records
+        from repro.obs.tracer import load_chrome_trace
+        from repro.structure.dotbracket import to_dotbracket
+
+        monkeypatch.setattr("repro.runtime.plan.os.cpu_count", lambda: 2)
+        pair = to_dotbracket(contrived_worst_case(80))
+        trace = tmp_path / "prna.trace.json"
+        metrics = tmp_path / "prna.metrics.jsonl"
+        assert main(
+            [
+                "compare", pair, pair, "--algorithm", "prna",
+                "--trace", str(trace), "--metrics", str(metrics),
+            ]
+        ) == 0
+        assert "MCOS score: 40" in capsys.readouterr().out
+        spans = [
+            e for e in load_chrome_trace(str(trace))["traceEvents"]
+            if e["ph"] == "X"
+        ]
+        assert {e["tid"] for e in spans if e["cat"] == "compute"} == {0, 1}
+        (record,) = load_run_records(str(metrics))
+        plan = record["parameters"]["plan"]
+        assert (plan["n_ranks"], plan["backend"]) == (2, "process")
+        # A parallel plan fills no instrumentation: its counters are the
+        # communicator's, not a row of zeros.
+        assert record["metrics"]["comm_stats"]["publishes"] > 0
 
     def test_simulate_trace_and_report(self, tmp_path, capsys):
         trace = tmp_path / "sim.trace.json"
