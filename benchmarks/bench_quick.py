@@ -9,7 +9,8 @@ regressions in either engine show up in one file, and a 2-rank
 process-backend row-barrier vs dataflow PRNA comparison records the
 counter-level cost of each synchronization strategy (sync points,
 publication batches, coalesced cells, dependency-wait time) with a >= 2x
-sync-point gate.
+sync-point gate.  Every case records ``memo_bytes``, the resident bytes
+of its memo table (``|A1| * |A2| * 8`` for the arc-indexed layout).
 
 Run directly (``python benchmarks/bench_quick.py``) or via
 ``make bench-quick``.  Keep it quick: the default settings finish in well
@@ -39,16 +40,19 @@ from repro.structure.generators import (  # noqa: E402
 )
 
 
-def _stage_one_seconds(structure, engine: str, repeat: int) -> tuple[float, int]:
-    """Best-of-*repeat* stage-one seconds for one SRNA2 self-comparison."""
+def _stage_one_seconds(
+    structure, engine: str, repeat: int
+) -> tuple[float, int, int]:
+    """Best-of-*repeat* stage-one seconds, score and memo-table bytes for
+    one SRNA2 self-comparison."""
     best = float("inf")
-    score = -1
+    score = memo_bytes = -1
     for _ in range(repeat):
         inst = Instrumentation()
         result = srna2(structure, structure, engine=engine, instrumentation=inst)
         best = min(best, inst.stage_times.stage_one)
-        score = result.score
-    return best, score
+        score, memo_bytes = result.score, result.memo.nbytes()
+    return best, score, memo_bytes
 
 
 def bench_stage_one(length: int, repeat: int) -> dict:
@@ -57,7 +61,7 @@ def bench_stage_one(length: int, repeat: int) -> dict:
     rows = {}
     scores = set()
     for engine in ("vectorized", "batched"):
-        seconds, score = _stage_one_seconds(structure, engine, repeat)
+        seconds, score, memo_bytes = _stage_one_seconds(structure, engine, repeat)
         rows[engine] = seconds
         scores.add(score)
     assert len(scores) == 1, f"engines disagree on the score: {scores}"
@@ -65,6 +69,7 @@ def bench_stage_one(length: int, repeat: int) -> dict:
         "case": "stage_one_worst_case",
         "length": length,
         "score": scores.pop(),
+        "memo_bytes": memo_bytes,
         "seconds": rows,
         "speedup_batched_vs_vectorized": rows["vectorized"] / rows["batched"],
     }
@@ -85,9 +90,10 @@ def bench_srna2_sweep(repeat: int) -> list[dict]:
             best = float("inf")
             for _ in range(repeat):
                 start = time.perf_counter()
-                srna2(structure, structure, engine=engine)
+                result = srna2(structure, structure, engine=engine)
                 best = min(best, time.perf_counter() - start)
             entry["seconds"][engine] = best
+            entry["memo_bytes"] = result.memo.nbytes()
         entry["speedup_batched_vs_vectorized"] = (
             entry["seconds"]["vectorized"] / entry["seconds"]["batched"]
         )
@@ -130,6 +136,7 @@ def bench_schedules(repeat: int) -> list[dict]:
                 "sync_mode": mode,
                 "seconds": best,
                 "score": score,
+                "memo_bytes": result.memo.nbytes(),
                 "sync_points": (
                     stats["allreduces"] + stats["barriers"] + stats["bcasts"]
                 ),
@@ -209,6 +216,13 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             status = 1
+    print(
+        "memo bytes: "
+        + ", ".join(
+            f"{entry['case']} n={entry['length']} {entry['memo_bytes']}"
+            for entry in results
+        )
+    )
     print(f"wrote {args.out}")
     if schedules:
         row, dataflow = schedules

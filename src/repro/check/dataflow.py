@@ -16,8 +16,9 @@ Rule families (all proofs, never heuristics — every flag is backed by a
 known bound, a known constant extent, or a same-root offset mismatch):
 
 * **DTYPE101** — an array of sub-64-bit integer dtype reaches a
-  lift/pack kernel (``tabulate_slice*``, ``_segmented_tabulate``,
-  ``DenseMemoTable``).  Under the input bounds declared in
+  lift/pack kernel (``tabulate_slice*``, ``_segmented_tabulate``, the
+  memo tables ``ArcMemoTable``/``DenseMemoTable`` and their ``wrap``).
+  Under the input bounds declared in
   :data:`repro.runtime.registry.INPUT_BOUNDS` the segmented prefix-max
   lift provably exceeds every narrow dtype's range
   (:func:`repro.check.intervals.lift_bound`).
@@ -203,11 +204,12 @@ def _is_lift_sink(call: ast.Call) -> str | None:
     name = _call_name(call)
     if any(name.startswith(prefix) for prefix in _LIFT_SINK_PREFIXES):
         return name
-    if name == "DenseMemoTable":
+    if name.endswith("MemoTable"):
         return name
     if name == "wrap" and isinstance(call.func, ast.Attribute):
-        if "DenseMemoTable" in ast.unparse(call.func.value):
-            return "DenseMemoTable.wrap"
+        owner = ast.unparse(call.func.value)
+        if owner.endswith("MemoTable"):
+            return f"{owner}.wrap"
     return None
 
 

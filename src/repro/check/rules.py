@@ -73,9 +73,9 @@ def _arch_flagged_name(call: ast.Call) -> str | None:
     if (
         name == "wrap"
         and isinstance(func, ast.Attribute)
-        and "DenseMemoTable" in ast.unparse(func.value)
+        and ast.unparse(func.value).endswith("MemoTable")
     ):
-        return "DenseMemoTable.wrap"
+        return f"{ast.unparse(func.value)}.wrap"
     return None
 
 

@@ -148,7 +148,7 @@ class SanitizedMemoTable:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._table.values.shape
+        return self._table.shape
 
     def store(self, i1: int, i2: int, value: int) -> None:
         """Store a memo value (delegates; the shadow diff audits writes)."""
@@ -262,7 +262,6 @@ class SanitizedCommunicator(Communicator):
     def declare_publication_schedule(
         self,
         *,
-        row_of_arc,
         dep_lo,
         dep_hi,
         expected_installs: int = 0,
@@ -271,7 +270,7 @@ class SanitizedCommunicator(Communicator):
 
         The dataflow executor calls this (when present — the hook is
         looked up with ``getattr``) before its arc loop, handing over the
-        arc→row map and the ``inner_ranges`` dependency bounds its
+        ``inner_ranges`` dependency bounds its
         :class:`~repro.parallel.dataflow.DataflowPlan` derived.  Every
         subsequent :meth:`Publish` is then checked **locally** against
         the declared right-endpoint schedule: the check needs no
@@ -280,7 +279,6 @@ class SanitizedCommunicator(Communicator):
         property of each rank's own publication stream.
         """
         self._pub_schedule = {
-            "row_of_arc": np.asarray(row_of_arc, dtype=np.int64),
             "dep_lo": np.asarray(dep_lo, dtype=np.int64),
             "dep_hi": np.asarray(dep_hi, dtype=np.int64),
             "expected_installs": int(expected_installs),
@@ -327,10 +325,9 @@ class SanitizedCommunicator(Communicator):
                 if d not in self._published_arcs
             ]
             if missing:
-                row = int(schedule["row_of_arc"][arc])
                 raise SanitizerError(
-                    f"SAN205: rank {self._rank} published arc {arc} (memo "
-                    f"row {row}) before its dependencies {missing[:8]} — "
+                    f"SAN205: rank {self._rank} published arc {arc} "
+                    f"before its dependencies {missing[:8]} — "
                     "the declared right-endpoint publication order is "
                     "violated, so a consumer's d1/d2 read at the matched "
                     f"arc would use an unpublished cell (Publish at "
@@ -423,14 +420,18 @@ class SanitizedCommunicator(Communicator):
     def guard_memo(self, table, owned_columns=None) -> SanitizedMemoTable:
         """Register *table* for race detection; returns a sanitized view.
 
-        *table* is a :class:`~repro.core.memo.DenseMemoTable` (or
-        anything with a ``values`` array).  *owned_columns* is the set of
-        column indices this rank may write between synchronizations
-        (``None`` disables the ownership check, keeping only the
-        cross-rank overlap and read/write checks).
+        *table* is an :class:`~repro.core.memo.ArcMemoTable` (whose
+        ``arcs`` rows are guarded), anything with a ``values`` array, or
+        the array itself.  *owned_columns* is the set of column indices
+        this rank may write between synchronizations (``None`` disables
+        the ownership check, keeping only the cross-rank overlap and
+        read/write checks).
         """
-        values = table.values if hasattr(table, "values") else table
-        guard = _MemoGuard(np.asarray(values), owned_columns)
+        if hasattr(table, "arcs"):
+            buffer = table.arcs
+        else:
+            buffer = table.values if hasattr(table, "values") else table
+        guard = _MemoGuard(np.asarray(buffer), owned_columns)
         self._guards.append(guard)
         return SanitizedMemoTable(table, guard)
 

@@ -4,9 +4,11 @@ The paper's space reduction keeps only the final value of each child slice,
 which (as Section IV-A notes) forfeits the details of *how* each slice's
 optimum was reached "unless we are interested in backtracing the subproblem
 that spawned the child slice".  This module supplies that backtrace without
-giving up the Theta(nm) resident footprint: slices are **re-tabulated on
+giving up the arc-indexed Theta(|A1| |A2|) table
+(:class:`~repro.core.memo.ArcMemoTable`): slices are **re-tabulated on
 demand** during the walk, one at a time, each discarded before the next is
-opened.
+opened.  SRNA1's position-space table is converted once, with
+:meth:`ArcMemoTable.from_positions`.
 
 The result is the list of matched arc pairs — a certificate that can be (and
 in tests, is) independently verified to be a valid common ordered
@@ -20,8 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.memo import DenseMemoTable
-from repro.core.slices import SliceTable, tabulate_slice_vectorized
+from repro.core.memo import ArcMemoTable, DenseMemoTable
+from repro.core.slices import (
+    SliceTable,
+    arc_range_in,
+    scan_rows,
+    tabulate_slice_vectorized,
+)
 from repro.errors import BacktraceError
 from repro.structure.arcs import Arc, Structure
 
@@ -48,48 +55,8 @@ def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
 
 
-def _weighted_keep_table(
-    memo: DenseMemoTable,
-    weights: np.ndarray,
-    s1: Structure,
-    s2: Structure,
-    i1: int,
-    j1: int,
-    i2: int,
-    j2: int,
-) -> SliceTable:
-    """Weighted twin of the slice tabulation, keeping the full table."""
-    from repro.core.slices import arc_range_in
-
-    r1 = arc_range_in(s1, i1, j1)
-    r2 = arc_range_in(s2, i2, j2)
-    lo1, hi1 = r1
-    lo2, hi2 = r2
-    xs = s1.rights[lo1:hi1]
-    k1s = s1.lefts[lo1:hi1]
-    ys = s2.rights[lo2:hi2]
-    k2s = s2.lefts[lo2:hi2]
-    n_rows, n_cols = len(xs), len(ys)
-    rows = np.zeros((n_rows + 1, n_cols + 1), dtype=np.float64)
-    if n_rows and n_cols:
-        d1_cols = np.searchsorted(ys, k2s - 1, side="right")
-        d1_rows = np.searchsorted(xs, k1s - 1, side="right")
-        wd2 = (
-            weights[lo1:hi1, lo2:hi2]
-            + memo.values[np.ix_(k1s + 1, k2s + 1)]
-        )
-        cand = np.empty(n_cols, dtype=np.float64)
-        for r in range(1, n_rows + 1):
-            np.take(rows[d1_rows[r - 1]], d1_cols, out=cand)
-            cand += wd2[r - 1]
-            out = rows[r, 1:]
-            np.maximum(rows[r - 1, 1:], cand, out=out)
-            np.maximum.accumulate(out, out=out)
-    return SliceTable(i1, j1, i2, j2, xs, k1s, ys, k2s, rows)
-
-
 def _trace_slice(
-    memo: DenseMemoTable,
+    memo: ArcMemoTable,
     s1: Structure,
     s2: Structure,
     i1: int,
@@ -101,12 +68,22 @@ def _trace_slice(
 ) -> None:
     """Re-tabulate one slice and walk it backwards, recursing into the child
     slice of every matched pair on the optimal path."""
+    (lo1, hi1), (lo2, hi2) = ranges = (
+        arc_range_in(s1, i1, j1), arc_range_in(s2, i2, j2)
+    )
+    arcs = memo.arcs
     if weights is None:
         table: SliceTable = tabulate_slice_vectorized(
-            memo.values, s1, s2, i1, j1, i2, j2, keep_table=True
+            arcs, s1, s2, i1, j1, i2, j2, ranges=ranges, keep_table=True
         )
     else:
-        table = _weighted_keep_table(memo, weights, s1, s2, i1, j1, i2, j2)
+        xs, k1s = s1.rights[lo1:hi1], s1.lefts[lo1:hi1]
+        ys, k2s = s2.rights[lo2:hi2], s2.lefts[lo2:hi2]
+        rows = scan_rows(
+            weights[lo1:hi1, lo2:hi2] + arcs[lo1:hi1, lo2:hi2],
+            xs, k1s, ys, k2s,
+        )
+        table = SliceTable(i1, j1, i2, j2, xs, k1s, ys, k2s, rows)
     rows = table.rows
     n_rows = len(table.xs)
     n_cols = len(table.ys)
@@ -137,7 +114,8 @@ def _trace_slice(
         if _close(rows[r, c - 1], value):
             stack.append((r, c - 1))
             continue
-        # Must be a match at this cell: arcs (k1, x) and (k2, y).
+        # Must be a match at this cell: arcs a1 = (k1, x) and a2 = (k2, y).
+        a1, a2 = lo1 + r - 1, lo2 + c - 1
         k1 = int(table.k1s[r - 1])
         x = int(table.xs[r - 1])
         k2 = int(table.k2s[c - 1])
@@ -145,13 +123,8 @@ def _trace_slice(
         d1_row = int(d1_rows[r - 1])
         d1_col = int(d1_cols[c - 1])
         d1 = d1_grid[r - 1, c - 1]
-        d2 = memo.values[k1 + 1, k2 + 1]
-        if weights is None:
-            bonus = 1
-        else:
-            lo1 = int(np.searchsorted(s1.rights, x, side="left"))
-            lo2 = int(np.searchsorted(s2.rights, y, side="left"))
-            bonus = weights[lo1, lo2]
+        d2 = arcs[a1, a2]
+        bonus = 1 if weights is None else weights[a1, a2]
         if not _close(value, bonus + d1 + d2):
             raise BacktraceError(
                 f"cell ({r}, {c}) of slice ({i1},{j1})x({i2},{j2}) holds "
@@ -169,17 +142,20 @@ def _trace_slice(
 
 
 def backtrace(
-    memo: DenseMemoTable, s1: Structure, s2: Structure
+    memo: ArcMemoTable | DenseMemoTable, s1: Structure, s2: Structure
 ) -> list[MatchedPair]:
     """Matched arc pairs of an optimal common substructure.
 
-    *memo* must be the table produced by a completed SRNA1/SRNA2/PRNA run on
-    ``(s1, s2)``.  Pairs are returned in no particular order; their count
-    equals the MCOS size stored at ``M[0, 0]``.
+    *memo* must be the table produced by a completed SRNA1/SRNA2/PRNA
+    run on ``(s1, s2)``; SRNA1's position table is converted once with
+    :meth:`ArcMemoTable.from_positions`.  Pairs are returned in no
+    particular order; their count equals the MCOS size ``memo.score``.
     """
+    if not isinstance(memo, ArcMemoTable):
+        memo = ArcMemoTable.from_positions(memo.values, s1, s2)
     out: list[MatchedPair] = []
     _trace_slice(memo, s1, s2, 0, s1.length - 1, 0, s2.length - 1, out)
-    expected = int(memo.values[0, 0])
+    expected = int(memo.score)
     if len(out) != expected:
         raise BacktraceError(
             f"backtrace found {len(out)} matched pairs but the table "
@@ -189,7 +165,7 @@ def backtrace(
 
 
 def backtrace_weighted(
-    memo: DenseMemoTable,
+    memo: ArcMemoTable,
     s1: Structure,
     s2: Structure,
     weights: np.ndarray,
@@ -206,7 +182,7 @@ def backtrace_weighted(
     _trace_slice(
         memo, s1, s2, 0, s1.length - 1, 0, s2.length - 1, out, weights
     )
-    expected = float(memo.values[0, 0])
+    expected = float(memo.score)
     arc_index1 = {arc: k for k, arc in enumerate(s1.arcs)}
     arc_index2 = {arc: k for k, arc in enumerate(s2.arcs)}
     total = sum(

@@ -8,10 +8,12 @@ the next outer arc — after arc ``a`` completes, every entry ``M`` will ever
 need from arcs ``<= a`` is final (the same ordering argument that makes the
 algorithm correct makes its prefix a valid checkpoint).
 
-Checkpoints are ``.npz`` files carrying the memo array, the resume index
-and a structure-pair digest so a checkpoint cannot silently resume against
-different inputs.  :func:`srna2_checkpointed` runs SRNA2's stage driver
-from the saved index; the driver's per-arc hook saves and preempts.
+Checkpoints are ``.npz`` files (format v2) carrying the arc-indexed memo
+table (:class:`~repro.core.memo.ArcMemoTable`, ``|A1| x |A2|`` cells), the
+resume index and a structure-pair digest so a checkpoint cannot silently
+resume against different inputs.  Format v1 stored the ``n x m`` position
+table and is refused.  :func:`srna2_checkpointed` runs SRNA2's stage loop
+from the saved index; its per-arc hook saves and preempts.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.instrument import Instrumentation
-from repro.core.memo import DenseMemoTable
+from repro.core.memo import ArcMemoTable
 from repro.core.slices import ENGINES, ROW_ENGINES
 from repro.core.srna2 import SRNA2Result, run_stages
 from repro.errors import ReproError
@@ -33,7 +35,7 @@ from repro.structure.arcs import Structure
 
 __all__ = ["CheckpointError", "Checkpoint", "srna2_checkpointed"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 class CheckpointError(ReproError):
@@ -51,7 +53,10 @@ def _pair_digest(s1: Structure, s2: Structure) -> str:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """In-memory view of a saved stage-one prefix."""
+    """In-memory view of a saved stage-one prefix.
+
+    ``memo_values`` is the ``(|A1|, |A2|)`` arc table.
+    """
 
     next_arc: int
     memo_values: np.ndarray
@@ -66,7 +71,7 @@ class Checkpoint:
             tmp_path,
             version=np.int64(_FORMAT_VERSION),
             next_arc=np.int64(self.next_arc),
-            memo=self.memo_values,
+            arcs=self.memo_values,
             digest=np.frombuffer(self.digest.encode(), dtype=np.uint8),
         )
         os.replace(tmp_path, path)
@@ -84,7 +89,7 @@ class Checkpoint:
                     )
                 return cls(
                     next_arc=int(payload["next_arc"]),
-                    memo_values=payload["memo"].copy(),
+                    memo_values=payload["arcs"].copy(),
                     digest=payload["digest"].tobytes().decode(),
                 )
         except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
@@ -124,7 +129,7 @@ def srna2_checkpointed(
     validate_choice("engine", engine)
 
     digest = _pair_digest(s1, s2)
-    memo = DenseMemoTable(s1.length, s2.length)
+    memo = ArcMemoTable(s1, s2)
     start_arc = 0
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -140,17 +145,17 @@ def srna2_checkpointed(
                 "checkpoint was written for a different structure pair; "
                 "refusing to resume"
             )
-        if saved.memo_values.shape != memo.values.shape:
+        if saved.memo_values.shape != memo.shape:
             raise CheckpointError(
                 f"checkpoint memo shape {saved.memo_values.shape} does not "
-                f"match {memo.values.shape}"
+                f"match {memo.shape}"
             )
         if not 0 <= saved.next_arc <= s1.n_arcs:
             raise CheckpointError(
                 f"checkpoint resume index {saved.next_arc} is outside "
                 f"[0, {s1.n_arcs}]"
             )
-        memo.values[...] = saved.memo_values
+        memo.arcs[...] = saved.memo_values
         start_arc = saved.next_arc
 
     def checkpoint(next_arc: int) -> None:
@@ -161,7 +166,7 @@ def srna2_checkpointed(
             and next_arc < s1.n_arcs
         )
         if interrupt or next_arc % every == 0:
-            Checkpoint(next_arc, memo.values, digest).save(path)
+            Checkpoint(next_arc, memo.arcs, digest).save(path)
         if interrupt:
             raise InterruptedError(
                 f"interrupted after {processed} outer arcs (checkpoint at "

@@ -29,13 +29,21 @@ Compressed layout: the value matrix has one extra leading row *and* column
 of zeros (the empty-interval boundary), so boundary reads need no masking —
 a ``d1`` reference that falls before the interval simply lands on index 0.
 
+Memo layout.  The paper keeps the child-slice results in an ``n x m``
+table ``M`` (Theta(nm)); every engine here reads the arc-indexed table of
+:class:`~repro.core.memo.ArcMemoTable` instead, ``A[a1, a2] = M[lefts1[a1]
++ 1, lefts2[a2] + 1]`` (Theta(|A1| |A2|)).  Arcs are ordered by right
+endpoint, so the ``d2`` terms of the slice over arcs ``[lo1, hi1) x
+[lo2, hi2)`` are the contiguous block ``A[lo1:hi1, lo2:hi2]`` — a view,
+where the position table needed an ``np.ix_`` gather.
+
 Every engine offers two entry points with a common contract:
 
 * a **per-slice** kernel in :data:`ENGINES` — one slice per call, for stage
   two's parent slice, manager-worker tasks and the backtracer's
   re-tabulations.  :func:`tabulate_slice_python` is the direct
   transcription (the readable reference) and
-  :func:`tabulate_slice_vectorized` runs one 2-D memo gather per slice plus
+  :func:`tabulate_slice_vectorized` reads its ``d2`` block once and runs
   four NumPy kernels per row; ``"batched"`` tabulates single slices with
   the vectorized kernel;
 * a **row entry** in :data:`ROW_ENGINES` — all child slices of one outer
@@ -56,9 +64,9 @@ shares the same row structure (``xs``, ``k1s``, and therefore the
 concatenated into one wide value matrix — each slice contributing its own
 zero-boundary column followed by its value columns — so an outer arc's
 whole batch advances with **one** gather/add/max per row instead of one
-per row per slice, and the memo terms for the entire batch are fetched in
-a single ``np.ix_`` gather.  The per-slice ``slice[x][y-1]`` case becomes a
-*segmented* prefix maximum: each segment is lifted by ``seg_id * stride``
+per row per slice, and row ``r``'s memo terms are one ``np.take`` from the
+contiguous arc-table row of its S1 arc.  The per-slice ``slice[x][y-1]``
+case becomes a *segmented* prefix maximum: each segment is lifted by ``seg_id * stride``
 (``stride`` exceeding any attainable slice value), one flat
 ``np.maximum.accumulate`` runs over the whole row, and the lift is
 subtracted — earlier segments can never leak into later ones because their
@@ -84,6 +92,7 @@ __all__ = [
     "arc_range_in",
     "tabulate_slice_python",
     "tabulate_slice_vectorized",
+    "scan_rows",
     "tabulate_slices_each",
     "tabulate_slices_batched",
     "ENGINES",
@@ -199,13 +208,16 @@ def tabulate_slice_python(
 ) -> int | SliceTable:
     """Pure-Python ``TabulateSlice`` over intervals ``[i1,j1] x [i2,j2]``.
 
-    ``memo_values`` is the dense memo array ``M``; reads ``M[k1+1, k2+1]``
-    must already hold final values (SRNA2's ordering guarantee).  Returns
-    the slice result, or the full :class:`SliceTable` when ``keep_table``.
+    ``memo_values`` is the arc table ``A`` (:class:`ArcMemoTable.arcs
+    <repro.core.memo.ArcMemoTable>`); its reads ``A[a1, a2]`` for the arcs
+    inside the intervals must already hold final values (SRNA2's ordering
+    guarantee).  Returns the slice result, or the full
+    :class:`SliceTable` when ``keep_table``.
     """
     if ranges is None:
         ranges = (arc_range_in(s1, i1, j1), arc_range_in(s2, i2, j2))
     xs, k1s, ys, k2s = _slice_arrays(s1, s2, *ranges)
+    (lo1, _), (lo2, _) = ranges
     n_rows, n_cols = len(xs), len(ys)
     rows = np.zeros((n_rows + 1, n_cols + 1), dtype=memo_values.dtype)
     # The d1 reference indices depend only on the arc endpoints, not on the
@@ -214,16 +226,14 @@ def tabulate_slice_python(
     d1_rows = np.searchsorted(xs, k1s - 1, side="right").tolist()
     d1_cols = np.searchsorted(ys, k2s - 1, side="right").tolist()
     for r in range(1, n_rows + 1):
-        k1 = int(k1s[r - 1])
         # Stored row (0 = boundary) holding the value at S1 position k1 - 1.
         d1_row = d1_rows[r - 1]
         prev = rows[r - 1]
         cur = rows[r]
         running = 0
         for c in range(1, n_cols + 1):
-            k2 = int(k2s[c - 1])
             d1 = int(rows[d1_row, d1_cols[c - 1]])
-            d2 = int(memo_values[k1 + 1, k2 + 1])
+            d2 = int(memo_values[lo1 + r - 1, lo2 + c - 1])
             best = max(int(prev[c]), running, 1 + d1 + d2)
             cur[c] = best
             running = best
@@ -251,44 +261,53 @@ def tabulate_slice_vectorized(
 ) -> int | SliceTable:
     """Vectorized ``TabulateSlice``; same contract as the reference engine.
 
-    The ``1 + M[k1+1][k2+1]`` terms for the whole slice are gathered in a
-    single 2-D fancy-indexing pass; after that, each row costs four NumPy
-    kernels: gather ``d1`` from an earlier row, add the memo terms, max
-    against the previous row, prefix-maximize.
+    The ``1 + A[a1, a2]`` terms of the whole slice are one arithmetic pass
+    over the block ``A[lo1:hi1, lo2:hi2]``; after that, each row costs
+    four NumPy kernels (:func:`scan_rows`).
     """
     if ranges is None:
         ranges = (arc_range_in(s1, i1, j1), arc_range_in(s2, i2, j2))
     xs, k1s, ys, k2s = _slice_arrays(s1, s2, *ranges)
-    n_rows, n_cols = len(xs), len(ys)
-    if n_rows == 0 or n_cols == 0:
-        if instrumentation is not None:
-            instrumentation.count_slice(0)
-        if keep_table:
-            rows = np.zeros((n_rows + 1, n_cols + 1), dtype=memo_values.dtype)
-            return SliceTable(i1, j1, i2, j2, xs, k1s, ys, k2s, rows)
-        return 0
+    (lo1, hi1), (lo2, hi2) = ranges
+    rows = scan_rows(memo_values[lo1:hi1, lo2:hi2] + 1, xs, k1s, ys, k2s)
+    if instrumentation is not None:
+        instrumentation.count_slice(len(xs) * len(ys))
+    table = SliceTable(i1, j1, i2, j2, xs, k1s, ys, k2s, rows)
+    return table if keep_table else table.result
 
+
+def scan_rows(
+    terms: np.ndarray,
+    xs: np.ndarray,
+    k1s: np.ndarray,
+    ys: np.ndarray,
+    k2s: np.ndarray,
+) -> np.ndarray:
+    """The compressed slice over S1 arcs ``(k1s, xs)`` x S2 arcs ``(k2s, ys)``.
+
+    ``terms[r, c]`` is what a match of row arc ``r`` with column arc ``c``
+    adds to its ``d1`` read: ``1 + d2`` for MCOS, ``W + d2`` for weighted
+    scoring.  Returns the ``(len(xs) + 1, len(ys) + 1)`` value matrix;
+    each row costs four NumPy kernels — gather ``d1`` from an earlier
+    row, add the terms, max against the previous row, prefix-maximize.
+    """
+    n_rows, n_cols = len(xs), len(ys)
+    rows = np.zeros((n_rows + 1, n_cols + 1), dtype=terms.dtype)
+    if n_rows == 0 or n_cols == 0:
+        return rows
     # Row-invariant precomputation.  Column c (1-based) reads its d1 value
     # at the stored column for S2 position k2s[c-1] - 1; index 0 is the zero
     # boundary, so no masking is needed.
     d1_cols = np.searchsorted(ys, k2s - 1, side="right")
     d1_rows = np.searchsorted(xs, k1s - 1, side="right")
-    # One gather for all d2 terms: d2p1[r, c] = 1 + M[k1s[r] + 1, k2s[c] + 1].
-    d2p1 = memo_values[np.ix_(k1s + 1, k2s + 1)] + 1
-
-    rows = np.zeros((n_rows + 1, n_cols + 1), dtype=memo_values.dtype)
-    cand = np.empty(n_cols, dtype=memo_values.dtype)
+    cand = np.empty(n_cols, dtype=terms.dtype)
     for r in range(1, n_rows + 1):
-        np.take(rows[d1_rows[r - 1]], d1_cols, out=cand)
-        cand += d2p1[r - 1]
+        rows[d1_rows[r - 1]].take(d1_cols, out=cand)
+        cand += terms[r - 1]
         out = rows[r, 1:]
         np.maximum(rows[r - 1, 1:], cand, out=out)
         np.maximum.accumulate(out, out=out)
-
-    if instrumentation is not None:
-        instrumentation.count_slice(n_rows * n_cols)
-    table = SliceTable(i1, j1, i2, j2, xs, k1s, ys, k2s, rows)
-    return table if keep_table else table.result
+    return rows
 
 
 def tabulate_slices_each(
@@ -334,10 +353,10 @@ def tabulate_slices_each(
 #: the int64 limits, so adding a slice value never overflows.
 _BOUNDARY_NEG = -(1 << 62)
 
-#: Cap on the elements materialized by one ``np.ix_`` memo gather
-#: (``n_rows * width``); larger batches are split into column chunks so
-#: Table 1-scale worst cases do not allocate multi-gigabyte temporaries.
-_MAX_GATHER_ELEMENTS = 1 << 24
+#: Cap on the cells of one batch's wide value matrix (``n_rows * width``);
+#: larger batches are split into column chunks so Table 1-scale worst
+#: cases do not allocate multi-gigabyte temporaries.
+_MAX_BATCH_ELEMENTS = 1 << 24
 
 
 def _ragged_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -348,7 +367,7 @@ def _ragged_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 def _segmented_tabulate(
-    memo_values: np.ndarray,
+    d2_rows: np.ndarray,
     xs: np.ndarray,
     k1s: np.ndarray,
     los: np.ndarray,
@@ -357,6 +376,8 @@ def _segmented_tabulate(
 ) -> np.ndarray | None:
     """Tabulate every (non-empty) slice of one batch in a shared wide matrix.
 
+    ``d2_rows`` holds the arc-table rows of the batch's S1 arcs (row
+    ``r - 1`` holds row ``r``'s ``d2`` terms, one column per S2 arc);
     ``los``/``his`` are per-slice arc-index ranges into ``s2`` (all with
     ``his > los``); the S1 side (``xs``/``k1s``) is shared by the whole
     batch.  Returns the slice results, or ``None`` when the segmented
@@ -364,7 +385,7 @@ def _segmented_tabulate(
     offset overflow risk), in which case the caller falls back to
     per-slice tabulation.
     """
-    if memo_values.dtype.kind not in "iu":
+    if d2_rows.dtype.kind not in "iu":
         return None
     n_rows = len(xs)
     lens = (his - los).astype(np.int64)
@@ -398,14 +419,19 @@ def _segmented_tabulate(
     # Shared row structure: identical for every slice in the batch.
     d1_rows = np.searchsorted(xs, k1s - 1, side="right")
 
-    # One memo gather for the whole batch (boundary columns fetch memo
-    # column 0 and are immediately overwritten with the sentinel).
-    gather_cols = np.zeros(width, dtype=np.int64)
-    gather_cols[val_pos] = k2s_cat + 1
-    d2p1 = memo_values[np.ix_(k1s + 1, gather_cols)].astype(np.int64, copy=False)
-    d2p1 += 1
-    vmax = int(d2p1.max()) if d2p1.size else 1
-    d2p1[:, bases] = _BOUNDARY_NEG
+    # d2 terms: row r takes its value columns from the arc-table row of
+    # its S1 arc, restricted to the batch's column span, plus 1; boundary
+    # columns take a sentinel slot past the span so a boundary candidate
+    # never wins the row maximum (boundary cells must stay 0).  The span
+    # block (n_rows x |A2| at most) is far narrower than the wide matrix.
+    c_lo, c_hi = int(los.min()), int(his.max())
+    span = c_hi - c_lo
+    ext = np.empty((n_rows, span + 1), dtype=np.int64)
+    np.add(d2_rows[:, c_lo:c_hi], 1, out=ext[:, :span])
+    vmax = int(ext[:, :span].max())
+    ext[:, span] = _BOUNDARY_NEG
+    d2_cols = np.full(width, span, dtype=np.int64)
+    d2_cols[val_pos] = col_idx - c_lo
 
     # Segmented prefix-max lift: stride must exceed any attainable slice
     # value (<= n_rows gains of at most vmax each) and the total lift must
@@ -428,9 +454,12 @@ def _segmented_tabulate(
     rows_wide = np.empty((n_rows + 1, width), dtype=np.int64)
     rows_wide[0] = seg_off
     cand = np.empty(width, dtype=np.int64)
+    d2p1 = np.empty(width, dtype=np.int64)
+    # ndarray.take, not np.take: small batches are bound by per-call cost.
     for r in range(1, n_rows + 1):
-        np.take(rows_wide[d1_rows[r - 1]], g_d1_cols, out=cand)
-        cand += d2p1[r - 1]
+        ext[r - 1].take(d2_cols, out=d2p1)
+        rows_wide[d1_rows[r - 1]].take(g_d1_cols, out=cand)
+        cand += d2p1
         out = rows_wide[r]
         np.maximum(rows_wide[r - 1], cand, out=out)
         np.maximum.accumulate(out, out=out)
@@ -454,14 +483,19 @@ def tabulate_slices_batched(
     ``arcs2`` holds S2 arc indices; slice ``k`` of the batch covers
     ``(lefts2[arcs2[k]] + 1 .. rights2[arcs2[k]] - 1)`` on the S2 side.
     Returns the per-slice results aligned with ``arcs2`` — exactly what
-    SRNA2's stage one writes into memo row ``i1`` (and what a PRNA rank
-    writes for its owned columns).
+    SRNA2's stage one writes into the arc-table row of the outer arc (and
+    what a PRNA rank writes for its owned columns).
 
-    Batches whose single memo gather would exceed the element cap are
-    split into column chunks; batches the segmented kernel cannot handle
-    (non-integer memo dtype, offset overflow) fall back to
-    :func:`tabulate_slices_each` over the vectorized kernel.  Either way
-    results are bit-identical to the per-slice engines.
+    ``memo_values`` is the arc table, whose rows ``lo1:hi1`` hold every
+    ``d2`` term of the batch.  An expanded ``(max(n, 1), max(m, 1))``
+    position table is accepted too (its row block is gathered once with
+    ``np.ix_``); the shapes never coincide, because ``n >= 2 |A1|``.
+
+    Batches whose wide value matrix would exceed the element cap are split
+    into column chunks; batches the segmented kernel cannot handle
+    (non-integer memo dtype, offset overflow) fall back to per-slice
+    :func:`scan_rows`.  Either way results are bit-identical to the
+    per-slice engines.
     """
     if r1 is None:
         r1 = arc_range_in(s1, i1, j1)
@@ -485,9 +519,13 @@ def tabulate_slices_batched(
         instrumentation.count_batch(len(arcs2), total_cells)
     if nonempty.size == 0:
         return results
+    if memo_values.shape == (s1.n_arcs, s2.n_arcs):
+        d2_rows = memo_values[lo1:hi1]
+    else:
+        d2_rows = memo_values[np.ix_(k1s + 1, s2.lefts + 1)]
 
-    # Chunk so one gather materializes at most _MAX_GATHER_ELEMENTS.
-    max_width = max(_MAX_GATHER_ELEMENTS // max(n_rows, 1), 2)
+    # Chunk so one wide matrix holds at most _MAX_BATCH_ELEMENTS cells.
+    max_width = max(_MAX_BATCH_ELEMENTS // max(n_rows, 1), 2)
     widths = (his - los)[nonempty] + 1
     chunk_marks = np.cumsum(widths) // max_width
     start = 0
@@ -498,15 +536,17 @@ def tabulate_slices_batched(
         stop = max(stop, start + 1)
         part = nonempty[start:stop]
         batch = _segmented_tabulate(
-            memo_values, xs, k1s, los[part], his[part], s2
+            d2_rows, xs, k1s, los[part], his[part], s2
         )
-        if batch is not None:
-            results[part] = batch.astype(memo_values.dtype)
-        else:
-            results[part] = tabulate_slices_each(
-                memo_values, s1, s2, i1, j1, arcs2[part],
-                r1=r1, tabulate=tabulate_slice_vectorized,
-            )
+        if batch is None:
+            batch = [
+                scan_rows(
+                    d2_rows[:, lo2:hi2] + 1, xs, k1s,
+                    s2.rights[lo2:hi2], s2.lefts[lo2:hi2],
+                )[-1, -1]
+                for lo2, hi2 in zip(los[part].tolist(), his[part].tolist())
+            ]
+        results[part] = batch
         start = stop
     return results
 

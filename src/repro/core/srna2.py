@@ -15,6 +15,11 @@ computation so every memo read is *guaranteed* to hit:
 * **stage two** — tabulate the parent slice over the full sequences, reading
   ``M`` where matched arcs occur; its last cell is the MCOS size.
 
+``M`` is held arc-indexed (:class:`~repro.core.memo.ArcMemoTable`): the
+cell ``M[i1+1][i2+1]`` of arc pair ``(a1, a2)`` is ``A[a1, a2]``, so stage
+one writes one arc-table row per outer arc and the table takes
+``|A1| x |A2|`` cells instead of ``n x m``.
+
 :func:`run_stages` is the one sequential driver of both stages: SRNA2,
 checkpointing, weighted scoring and manager-worker's single-rank world call
 it.  :func:`parent_slice` is the one stage-two call.  PRNA
@@ -29,7 +34,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from repro.core.instrument import Instrumentation
-from repro.core.memo import DenseMemoTable
+from repro.core.memo import ArcMemoTable
 from repro.core.slices import ENGINES, ROW_ENGINES
 from repro.runtime.registry import validate_choice
 from repro.structure.arcs import Structure
@@ -50,7 +55,7 @@ class SRNA2Result:
     def __init__(
         self,
         score: int,
-        memo: DenseMemoTable,
+        memo: ArcMemoTable,
         instrumentation: Instrumentation | None,
     ):
         self.score = score
@@ -88,7 +93,7 @@ def srna2(
         Optional counters; stage times feed the Table III experiment.
     dtype:
         Memo/slice cell type (default ``numpy.int64``).  ``numpy.int32``
-        halves the footprint and matches the paper's 4-byte cells; scores
+        halves the arc table and matches the paper's 4-byte cells; scores
         are bounded by ``min(|S1|, |S2|)``, so any integer type of at
         least 32 bits is safe for realistic inputs.
     """
@@ -97,9 +102,8 @@ def srna2(
     # properties of Structure, so touching them here both mirrors the
     # paper's preprocessing step and makes Table III's timing honest.
     with _stage(instrumentation, "preprocessing"):
-        memo = DenseMemoTable(
-            s1.length, s2.length,
-            dtype=dtype if dtype is not None else np.int64,
+        memo = ArcMemoTable(
+            s1, s2, dtype=dtype if dtype is not None else np.int64
         )
         s1.inner_ranges  # cached here; the driver and row entries read them
         s2.inner_ranges
@@ -122,8 +126,9 @@ def parent_slice(
     memo_values: np.ndarray, s1: Structure, s2: Structure, tabulate, *,
     instrumentation: Instrumentation | None = None,
 ):
-    """Stage two: the parent slice over the full sequences; its last cell
-    is the score, which the caller stores at ``M[0, 0]``."""
+    """Stage two: the parent slice over the full sequences, whose ``d2``
+    block is the whole arc table *memo_values*; its last cell is the
+    score, which the caller stores as the table's ``score``."""
     return tabulate(
         memo_values, s1, s2, 0, s1.length - 1, 0, s2.length - 1,
         ranges=((0, s1.n_arcs), (0, s2.n_arcs)),
@@ -132,7 +137,7 @@ def parent_slice(
 
 
 def run_stages(
-    memo: DenseMemoTable,
+    memo: ArcMemoTable,
     s1: Structure,
     s2: Structure,
     tabulate,
@@ -145,22 +150,21 @@ def run_stages(
     """Stages one and two of Algorithm 3 into *memo*; returns the score.
 
     Stage one makes one *tabulate_row* call per S1 arc from *start_arc*
-    on (by increasing right endpoint) over every S2 arc and writes memo
-    row ``i1 + 1`` whole; no slice under ``(i1, j1)`` reads that row,
-    since shared endpoints are forbidden.  After each arc,
-    ``on_arc(next_arc)`` runs; the rows of arcs before it are final.
-    Stage two stores the parent slice's result at ``M[0, 0]``.
+    on (by increasing right endpoint) over every S2 arc and writes that
+    arc's row of the arc table whole; no slice under the arc reads its
+    own row, since it reads only the rows of arcs inside it.  After each
+    arc, ``on_arc(next_arc)`` runs; the rows of arcs before it are final.
+    Stage two stores the parent slice's result as ``memo.score``.
     """
-    values = memo.values
+    arcs = memo.arcs
     with _stage(instrumentation, "stage_one"):
         inner1 = s1.inner_ranges.tolist()
         lefts1 = s1.lefts.tolist()
         rights1 = s1.rights.tolist()
         all_arcs2 = np.arange(s2.n_arcs, dtype=np.int64)
-        row_cols = s2.lefts + 1
         for a in range(start_arc, s1.n_arcs):
-            values[lefts1[a] + 1, row_cols] = tabulate_row(
-                values, s1, s2, lefts1[a] + 1, rights1[a] - 1, all_arcs2,
+            arcs[a] = tabulate_row(
+                arcs, s1, s2, lefts1[a] + 1, rights1[a] - 1, all_arcs2,
                 r1=tuple(inner1[a]), instrumentation=instrumentation,
             )
             if on_arc is not None:
@@ -168,7 +172,7 @@ def run_stages(
 
     with _stage(instrumentation, "stage_two"):
         score = parent_slice(
-            values, s1, s2, tabulate, instrumentation=instrumentation
+            arcs, s1, s2, tabulate, instrumentation=instrumentation
         )
-        memo.store(0, 0, score)
+        memo.score = score
     return score

@@ -19,9 +19,10 @@ remain monotone under the staircase maxima (candidates only ever *join* a
 running max), the child-slice identity is still the origin pair, and stage
 one's increasing-right-endpoint order still guarantees memo hits.  The
 implementation below is a weighted twin of
-:func:`repro.core.slices.tabulate_slice_vectorized`, which
+:func:`repro.core.slices.tabulate_slice_vectorized` (the same
+:func:`~repro.core.slices.scan_rows` over ``W + d2`` terms), which
 :func:`weighted_mcos` hands to SRNA2's stage driver
-(:func:`repro.core.srna2.run_stages`) with a float64 memo table, plus a
+(:func:`repro.core.srna2.run_stages`) with a float64 arc table, plus a
 dense 4-D reference used by the tests.
 """
 
@@ -31,8 +32,8 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.memo import DenseMemoTable
-from repro.core.slices import tabulate_slices_each
+from repro.core.memo import ArcMemoTable
+from repro.core.slices import scan_rows, tabulate_slices_each
 from repro.core.srna2 import run_stages
 from repro.errors import StructureError
 from repro.structure.arcs import Structure
@@ -45,7 +46,7 @@ class WeightedResult:
 
     __slots__ = ("score", "memo", "weights")
 
-    def __init__(self, score: float, memo: DenseMemoTable, weights: np.ndarray):
+    def __init__(self, score: float, memo: ArcMemoTable, weights: np.ndarray):
         self.score = score
         self.memo = memo
         self.weights = weights
@@ -87,30 +88,12 @@ def _tabulate_weighted_slice(
     *ranges* locates the slice, and nothing is counted.
     """
     (lo1, hi1), (lo2, hi2) = ranges
-    xs = s1.rights[lo1:hi1]
-    k1s = s1.lefts[lo1:hi1]
-    ys = s2.rights[lo2:hi2]
-    k2s = s2.lefts[lo2:hi2]
-    n_rows, n_cols = len(xs), len(ys)
-    if n_rows == 0 or n_cols == 0:
-        return 0.0
-
-    d1_cols = np.searchsorted(ys, k2s - 1, side="right")
-    d1_rows = np.searchsorted(xs, k1s - 1, side="right")
-    # Weighted analogue of the d2 gather: W[a, b] + M[k1+1, k2+1].
-    wd2 = (
-        weights[lo1:hi1, lo2:hi2]
-        + memo_values[np.ix_(k1s + 1, k2s + 1)]
+    # Weighted analogue of the d2 terms: W[a1, a2] + A[a1, a2].
+    rows = scan_rows(
+        weights[lo1:hi1, lo2:hi2] + memo_values[lo1:hi1, lo2:hi2],
+        s1.rights[lo1:hi1], s1.lefts[lo1:hi1],
+        s2.rights[lo2:hi2], s2.lefts[lo2:hi2],
     )
-
-    rows = np.zeros((n_rows + 1, n_cols + 1), dtype=np.float64)
-    cand = np.empty(n_cols, dtype=np.float64)
-    for r in range(1, n_rows + 1):
-        np.take(rows[d1_rows[r - 1]], d1_cols, out=cand)
-        cand += wd2[r - 1]
-        out = rows[r, 1:]
-        np.maximum(rows[r - 1, 1:], cand, out=out)
-        np.maximum.accumulate(out, out=out)
     return float(rows[-1, -1])
 
 
@@ -125,7 +108,7 @@ def weighted_mcos(
     :mod:`repro.core.weights` for builders.
     """
     weights = _check_weights(s1, s2, weights)
-    memo = DenseMemoTable(s1.length, s2.length, dtype=np.float64)
+    memo = ArcMemoTable(s1, s2, dtype=np.float64)
     tabulate = partial(_tabulate_weighted_slice, weights=weights)
     score = run_stages(
         memo, s1, s2, tabulate, partial(tabulate_slices_each, tabulate=tabulate)

@@ -21,6 +21,7 @@ __all__ = [
     "SimulationError",
     "BacktraceError",
     "ExperimentError",
+    "MemoryBudgetError",
 ]
 
 
@@ -92,3 +93,20 @@ class BacktraceError(ReproError):
 
 class ExperimentError(ReproError):
     """An experiment harness was invoked with inconsistent parameters."""
+
+
+class MemoryBudgetError(ReproError):
+    """A plan's memo table cannot fit the caller's memory budget.
+
+    Raised at plan time by :class:`repro.runtime.plan.Planner` when even
+    one replica of the table (or the caller's requested world of them)
+    exceeds ``ResourceHints.memory_bytes``.
+    """
+
+    def __init__(self, footprint: int, budget: int, what: str):
+        self.footprint = footprint
+        self.budget = budget
+        super().__init__(
+            f"memo footprint {footprint / 1e6:.3g} MB ({what}) exceeds the "
+            f"{budget / 1e6:.3g} MB memory budget"
+        )

@@ -67,11 +67,12 @@ _READER_LOOKAHEAD = 1
 class DataflowPlan:
     """The rank's derived communication plan — pure function of
     ``(s1, s2, partition, rank, size)``, so every rank computes a
-    mutually consistent plan with zero negotiation messages."""
+    mutually consistent plan with zero negotiation messages.
 
-    #: Memo row of each ``S1`` arc (``lefts1 + 1``; rows are unique
-    #: because arcs share no endpoints).
-    row_of_arc: np.ndarray
+    Memo rows and columns are arc-table indices: ``S1`` arc ``a`` owns
+    row ``a``, ``S2`` arc ``b`` column ``b``.
+    """
+
     #: ``inner_ranges`` bounds: arc ``a`` depends on arcs
     #: ``dep_lo[a]:dep_hi[a]`` (all strictly ``< a``).
     dep_lo: np.ndarray
@@ -82,11 +83,11 @@ class DataflowPlan:
     #: Index of the first arc that reads arc ``a`` (``n_arcs`` if none) —
     #: the coalescing urgency hint.
     earliest_reader: np.ndarray
-    #: consumer rank -> sorted memo columns of mine that its slices read.
+    #: consumer rank -> sorted S2 arcs of mine that its slices read.
     send_cols: dict
-    #: producer rank -> sorted memo columns of its that my slices read.
+    #: producer rank -> sorted S2 arcs of its that my slices read.
     recv_cols: dict
-    #: rank -> sorted memo columns that rank owns (consolidation blocks).
+    #: rank -> sorted S2 arcs that rank owns (consolidation blocks).
     col_blocks: dict
 
     @property
@@ -100,7 +101,6 @@ def build_dataflow_plan(
 ) -> DataflowPlan:
     """Derive the publication/wait plan for *rank* deterministically."""
     n1 = s1.n_arcs
-    rows = s1.lefts.astype(np.int64) + 1
     dep_lo = s1.inner_ranges[:, 0].astype(np.int64)
     dep_hi = s1.inner_ranges[:, 1].astype(np.int64)
     has_reader = np.zeros(n1, dtype=bool)
@@ -110,14 +110,13 @@ def build_dataflow_plan(
         if lo < hi:
             has_reader[lo:hi] = True
             earliest_reader[lo:hi] = a  # descending sweep -> minimum wins
-    cols2 = s2.lefts.astype(np.int64) + 1
     n2 = s2.n_arcs
     owner = np.zeros(n2, dtype=np.int64)
     col_blocks = {}
     for q in range(size):
         arcs_q = np.asarray(partition.tasks_of(q), dtype=np.int64)
         owner[arcs_q] = q
-        col_blocks[q] = np.sort(cols2[arcs_q])
+        col_blocks[q] = np.sort(arcs_q)
     # Read set per rank: the s2 arcs whose cells the rank's owned slices
     # consume as d2 (union of inner2 ranges over its owned arcs).
     inner2 = s2.inner_ranges
@@ -134,12 +133,11 @@ def build_dataflow_plan(
             continue
         to_q = read_mask[q] & (owner == rank)
         if to_q.any():
-            send_cols[q] = np.sort(cols2[np.flatnonzero(to_q)])
+            send_cols[q] = np.flatnonzero(to_q)
         from_q = read_mask[rank] & (owner == q)
         if from_q.any():
-            recv_cols[q] = np.sort(cols2[np.flatnonzero(from_q)])
+            recv_cols[q] = np.flatnonzero(from_q)
     return DataflowPlan(
-        row_of_arc=rows,
         dep_lo=dep_lo,
         dep_hi=dep_hi,
         has_reader=has_reader,
@@ -170,7 +168,6 @@ def dataflow_stage_one(
     charge = state.charge
     owned = state.owned
     owned_arr = state.owned_arr
-    owned_cols = state.owned_cols
 
     plan = build_dataflow_plan(s1, s2, state.partition, comm.rank, comm.size)
     declare = getattr(comm, "declare_publication_schedule", None)
@@ -180,7 +177,6 @@ def dataflow_stage_one(
         # (stray columns, publication-before-dependency) without any
         # cross-rank rendezvous of its own.
         declare(
-            row_of_arc=plan.row_of_arc,
             dep_lo=plan.dep_lo,
             dep_hi=plan.dep_hi,
             expected_installs=len(plan.recv_cols),
@@ -191,7 +187,6 @@ def dataflow_stage_one(
     rights1 = s1.rights.tolist()
     inside1 = s1.inside_count
     inside2 = s2.inside_count
-    rows = plan.row_of_arc
     installed = {p: set() for p in plan.recv_cols}
     for a in range(s1.n_arcs):
         i1, j1 = lefts1[a], rights1[a]
@@ -209,11 +204,11 @@ def dataflow_stage_one(
             ):
                 got = comm.Await([("row", d) for d in missing], p)
             for d in missing:
-                values[rows[d], cols] = got[("row", d)]
+                values[d, cols] = got[("row", d)]
                 seen.add(d)
-        row = values[i1 + 1]
+        row = values[a]
         with span("tabulate_row", "compute", row=i1 + 1, columns=len(owned)):
-            row[owned_cols] = tabulate_row(
+            row[owned_arr] = tabulate_row(
                 values, s1, s2, i1 + 1, j1 - 1, owned_arr,
                 r1=r1, instrumentation=inst,
             )
@@ -229,11 +224,10 @@ def dataflow_stage_one(
                 ):
                     comm.Publish(("row", a), row[cols], q, urgent=urgent)
     # Drain the outboxes, then consolidate the distributed table at
-    # rank 0: stage two's parent slice reads every (arc row, arc column)
-    # cell, so each peer ships its owned block once.  This replaces the
-    # row barrier's implicit full replication with one message per rank.
+    # rank 0: stage two's parent slice reads the whole arc table, so each
+    # peer ships its owned columns once.  This replaces the row barrier's
+    # implicit full replication with one message per rank.
     comm.flush_publications()
-    all_rows = np.sort(rows)
     if comm.rank == 0:
         for q in range(1, comm.size):
             cols_q = plan.col_blocks[q]
@@ -241,14 +235,14 @@ def dataflow_stage_one(
                 continue
             with span(
                 "dependency_wait", "dep-wait",
-                peer=q, cells=len(all_rows) * len(cols_q),
+                peer=q, cells=s1.n_arcs * len(cols_q),
             ):
                 got = comm.Await([("final", q)], q)
-            values[np.ix_(all_rows, cols_q)] = got[("final", q)]
+            values[:, cols_q] = got[("final", q)]
     else:
         mine = plan.col_blocks[comm.rank]
         if len(mine):
-            block = values[np.ix_(all_rows, mine)]
+            block = values[:, mine]
             with span("publish", "publish", peer=0, cells=int(block.size)):
                 comm.Publish(("final", comm.rank), block, 0, urgent=True)
         comm.flush_publications()

@@ -9,7 +9,7 @@ partition is the paper's answer to that limitation.
 This module implements the manager-worker alternative over the same
 substrate so the trade-off is measurable rather than anecdotal:
 
-* rank 0 is the **manager**: it owns the memo table and walks the outer
+* rank 0 is the **manager**: it owns the arc-indexed memo table and walks the outer
   arcs in the same increasing-right-endpoint order (the dependency
   structure still forces rows to complete in order); within a row it hands
   individual child slices to whichever worker asks next, collects results,
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.memo import DenseMemoTable
+from repro.core.memo import ArcMemoTable
 from repro.core.slices import ENGINES, ROW_ENGINES
 from repro.core.srna2 import parent_slice, run_stages
 from repro.errors import SimulationError
@@ -67,7 +67,7 @@ class ManagerWorkerResult:
     size: int
     #: The manager's complete table; ``None`` on workers, and on every
     #: rank when the manager wrote into a caller-owned *out* table.
-    memo: DenseMemoTable | None
+    memo: ArcMemoTable | None
     tasks_computed: int
 
     def __int__(self) -> int:
@@ -93,13 +93,13 @@ def manager_worker_rank(
     s2: Structure,
     *,
     engine: str = "batched",
-    out: DenseMemoTable | None = None,
+    out: ArcMemoTable | None = None,
 ) -> ManagerWorkerResult:
     """SPMD body: rank 0 manages, other ranks work.
 
     With a single rank the manager computes everything itself (degenerating
     to SRNA2), so the function is usable at any world size.  *out* is a
-    zeroed ``(max(n, 1), max(m, 1))`` table (typically
+    zeroed ``(|A1|, |A2|)`` arc table (typically
     :meth:`ExecutionContext.result_memo`) the manager tabulates into
     instead of a private one; the result then carries ``memo=None``.
     """
@@ -113,24 +113,20 @@ def manager_worker_rank(
     rights2 = s2.rights.tolist()
 
     if comm.rank == 0:
-        return _manager(
-            comm, s1, s2, tabulate, ROW_ENGINES[engine], lefts1, lefts2, out,
-        )
+        return _manager(comm, s1, s2, tabulate, ROW_ENGINES[engine], out)
     return _worker(
         comm, s1, s2, tabulate,
         inner1, inner2, lefts1, rights1, lefts2, rights2,
     )
 
 
-def _manager(
-    comm, s1, s2, tabulate, tabulate_row, lefts1, lefts2, out,
-) -> ManagerWorkerResult:
-    memo = out if out is not None else DenseMemoTable(s1.length, s2.length)
+def _manager(comm, s1, s2, tabulate, tabulate_row, out) -> ManagerWorkerResult:
+    memo = out if out is not None else ArcMemoTable(s1, s2)
     workers = list(range(1, comm.size))
     if workers:
-        _manage_stage_one(comm, s1, s2, memo.values, workers, lefts1, lefts2)
-        score = int(parent_slice(memo.values, s1, s2, tabulate))
-        memo.store(0, 0, score)
+        _manage_stage_one(comm, s1, s2, memo.arcs, workers)
+        score = int(parent_slice(memo.arcs, s1, s2, tabulate))
+        memo.score = score
         for worker in workers:
             comm.send(("stop", -1, None), worker, _TAG_TASK)
         tasks_computed = 0
@@ -144,12 +140,12 @@ def _manager(
     )
 
 
-def _manage_stage_one(comm, s1, s2, values, workers, lefts1, lefts2) -> None:
+def _manage_stage_one(comm, s1, s2, arcs, workers) -> None:
     """Hand out each outer arc's child slices, one task per free worker."""
     # Workers whose task request has arrived but not yet been answered.
     waiting: deque[int] = deque()
     for a in range(s1.n_arcs):
-        row = values[lefts1[a] + 1]
+        row = arcs[a]
         next_b = 0
         pending = 0
         while next_b < s2.n_arcs and waiting:
@@ -169,7 +165,7 @@ def _manage_stage_one(comm, s1, s2, values, workers, lefts1, lefts2) -> None:
                     waiting.append(worker)
             else:
                 b, value = payload
-                row[lefts2[b] + 1] = value
+                row[b] = value
                 pending -= 1
         # Row complete: publish it so later tasks read final values.
         for worker in workers:
@@ -180,9 +176,7 @@ def _worker(
     comm, s1, s2, tabulate,
     inner1, inner2, lefts1, rights1, lefts2, rights2,
 ) -> ManagerWorkerResult:
-    n, m = s1.length, s2.length
-    replica = DenseMemoTable(n, m)
-    values = replica.values
+    arcs = ArcMemoTable(s1, s2).arcs
     tasks_computed = 0
     comm.send(comm.rank, 0, _TAG_REQUEST)
     while True:
@@ -190,13 +184,13 @@ def _worker(
         if kind == "stop":
             break
         if kind == "sync":
-            values[lefts1[a] + 1] = payload
+            arcs[a] = payload
             continue
         b = payload
         i1, j1 = lefts1[a], rights1[a]
         i2, j2 = lefts2[b], rights2[b]
         value = tabulate(
-            values, s1, s2, i1 + 1, j1 - 1, i2 + 1, j2 - 1,
+            arcs, s1, s2, i1 + 1, j1 - 1, i2 + 1, j2 - 1,
             ranges=(
                 (int(inner1[a, 0]), int(inner1[a, 1])),
                 (int(inner2[b, 0]), int(inner2[b, 1])),
@@ -233,12 +227,13 @@ def manager_worker(
     carries as ``memo``.
     """
     context = ExecutionContext(tracer=tracer, collect_stats=collect_stats)
-    out = context.result_memo(s1.length, s2.length)
+    out = context.result_memo(s1, s2)
     results = context.launch(
         lambda comm: manager_worker_rank(comm, s1, s2, engine=engine, out=out),
         n_ranks=n_ranks,
         backend=backend,
     )
+    out.score = results[0].score
     results[0].memo = out
     return results[0]
 
@@ -274,7 +269,7 @@ def simulate_manager_worker(
     inside1 = s1.inside_count.astype(np.float64)
     total_inside2 = float(s2.inside_count.sum())
     per_message = cost.p2p(64)
-    row_bytes = s2.length * 8
+    row_bytes = s2.n_arcs * 8
     total = wm.preprocessing_seconds(s1, s2) + wm.parent_slice_seconds(s1, s2)
     contention = max(
         cluster.contention_factor(rank, n_ranks) for rank in range(n_ranks)

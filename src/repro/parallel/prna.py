@@ -8,9 +8,11 @@ Structure (Section V):
   needed;
 * **stage one (parallel)** — for each arc ``(i1, j1)`` of ``S1`` by
   increasing ``j1``, every rank tabulates the child slices of its *owned*
-  columns, then the completed memo row ``i1 + 1`` is synchronized with an
+  columns, then the completed memo row is synchronized with an
   ``Allreduce(MAX)`` ("MPI_Allreduce with the beginning address of the row
-  and number of columns, using the MPI_MAX operation");
+  and number of columns, using the MPI_MAX operation").  The memo is the
+  arc-indexed table (:class:`~repro.core.memo.ArcMemoTable`), so that row
+  is the outer arc's ``|A2|`` cells, not ``m``;
 * **stage two (sequential)** — rank 0 tabulates the parent slice from the
   fully synchronized table and broadcasts the score.
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.instrument import Instrumentation
-from repro.core.memo import DenseMemoTable
+from repro.core.memo import ArcMemoTable
 from repro.core.slices import ENGINES, ROW_ENGINES
 from repro.core.srna2 import parent_slice
 from repro.errors import CommunicatorError
@@ -68,7 +70,7 @@ class PRNAResult:
     #: This rank's memo table.  ``None`` when the run wrote rank 0's table
     #: into a caller-owned *out* table (:func:`prna_rank`); :func:`prna`
     #: then attaches that table, rank 0's consolidated memo, here.
-    memo: DenseMemoTable | None
+    memo: ArcMemoTable | None
     simulated_time: float | None = None
     instrumentation: Instrumentation | None = None
     #: ``CommStats.as_dict()`` of this rank's communicator, when stats were
@@ -109,7 +111,7 @@ def prna_rank(
     shared_memory: bool = False,
     sanitize: bool = False,
     sanitize_timeout: float = 30.0,
-    out: DenseMemoTable | None = None,
+    out: ArcMemoTable | None = None,
 ) -> PRNAResult:
     """Run one rank's share of PRNA (call from SPMD context).
 
@@ -156,8 +158,8 @@ def prna_rank(
         accounted in ``CommStats.sanitizer_checks``/``sanitizer_ns`` and
         (with *tracer*) as ``"sanitizer"``-category spans.
     out:
-        A zeroed ``(max(n, 1), max(m, 1))`` table that receives rank 0's
-        final memo, typically :meth:`ExecutionContext.result_memo` shared
+        A zeroed ``(|A1|, |A2|)`` arc table that receives rank 0's final
+        memo, typically :meth:`ExecutionContext.result_memo` shared
         by every rank of the launch.  Rank 0 tabulates into it directly,
         and every rank returns ``memo=None`` so no table travels back with
         the result.
@@ -177,8 +179,7 @@ def prna_rank(
     tabulate = ENGINES[engine]
 
     inst = instrumentation
-    n, m = s1.length, s2.length
-    shape = (max(n, 1), max(m, 1))
+    shape = (s1.n_arcs, s2.n_arcs)
     if out is not None and out.shape != shape:
         raise ValueError(f"out table has shape {out.shape}, expected {shape}")
 
@@ -202,18 +203,13 @@ def prna_rank(
     weights = column_weights(s1, s2)
     partition = PARTITIONERS[partitioner](weights, comm.size)
     owned = partition.tasks_of(comm.rank)
-    if out is not None and comm.rank == 0:
-        memo = out
-    else:
-        memo = DenseMemoTable(n, m)
+    memo = out if out is not None and comm.rank == 0 else ArcMemoTable(s1, s2)
+    owned_arr = np.asarray(owned, dtype=np.int64)
     if sanitize:
         # Register the table with the sanitizer: this rank may only write
-        # columns s2.lefts[owned] + 1 between row synchronizations.
-        owned_arr0 = np.asarray(owned, dtype=np.int64)
-        memo = comm.guard_memo(memo, owned_columns=s2.lefts[owned_arr0] + 1)
-    values = memo.values
-    owned_arr = np.asarray(owned, dtype=np.int64)
-    owned_cols = s2.lefts[owned_arr] + 1
+        # its owned columns (S2 arcs) between row synchronizations.
+        comm.guard_memo(memo, owned_columns=owned_arr)
+    values = memo.arcs
     # One row-entry call per outer arc over the owned columns: the rank's
     # partition defines the batch.
     state = StageOneState(
@@ -221,7 +217,6 @@ def prna_rank(
         partition=partition,
         owned=owned,
         owned_arr=owned_arr,
-        owned_cols=owned_cols,
         row=ROW_ENGINES[engine],
         inst=inst,
         work_model=work_model,
@@ -256,8 +251,7 @@ def prna_rank(
             # consolidates), so whole-table digests cannot agree.  Check
             # instead that every rank's owned block is bit-identical to
             # the corresponding block of rank 0's consolidated table.
-            all_rows = np.sort(s1.lefts.astype(np.int64) + 1)
-            mine = values[np.ix_(all_rows, np.sort(owned_cols))]
+            mine = values[:, np.sort(owned_arr)]
             digest = int(mine.sum()) ^ hash(mine.tobytes())
             digests = comm.allgather(digest)
             ok = True
@@ -266,7 +260,7 @@ def prna_rank(
                     cols_q = dataflow_plan.col_blocks[q]
                     if len(cols_q) == 0:
                         continue
-                    block = values[np.ix_(all_rows, cols_q)]
+                    block = values[:, cols_q]
                     if digests[q] != int(block.sum()) ^ hash(block.tobytes()):
                         ok = False
             ok = comm.bcast(ok, root=0)
@@ -307,7 +301,7 @@ def prna_rank(
             score = comm.bcast(score, root=0)
         # Every rank stores the agreed score after the final broadcast, so
         # the identical write is race-free by construction.
-        memo.store(0, 0, score)
+        memo.score = score
     finally:
         if stage_ctx is not None:
             stage_ctx.__exit__(None, None, None)
@@ -367,7 +361,7 @@ def prna(
     """
     _validate_choices(partitioner, engine, sync_mode, charge)
     context = ExecutionContext(tracer=tracer, collect_stats=collect_stats)
-    out = context.result_memo(s1.length, s2.length)
+    out = context.result_memo(s1, s2)
 
     def rank_main(comm: Communicator) -> PRNAResult:
         return prna_rank(
@@ -386,5 +380,6 @@ def prna(
         result.simulated_time = simulated
     else:
         result = results[0]
+    out.score = result.score
     result.memo = out
     return result

@@ -47,8 +47,9 @@ __all__ = ["StageOneState", "row_barrier_stage_one"]
 class StageOneState:
     """Rank-local context a stage-one executor consumes.
 
-    Bundles everything beyond ``(comm, s1, s2)``: the memo buffer, the
-    owned column partition, the engine's row entry ``row`` (one call per
+    Bundles everything beyond ``(comm, s1, s2)``: the arc-table buffer
+    (row ``a`` is outer arc ``a``, column ``b`` is S2 arc ``b``), the owned
+    column partition, the engine's row entry ``row`` (one call per
     outer arc over ``owned_arr``; see
     :data:`repro.core.slices.ROW_ENGINES`), and the observability hooks
     (``span`` yields tracer spans; ``charge`` feeds modelled compute
@@ -61,7 +62,6 @@ class StageOneState:
     partition: Any
     owned: list
     owned_arr: np.ndarray
-    owned_cols: np.ndarray
     row: Callable
     inst: Any
     work_model: Any
@@ -89,7 +89,6 @@ def row_barrier_stage_one(
     charge = state.charge
     owned = state.owned
     owned_arr = state.owned_arr
-    owned_cols = state.owned_cols
     inner1 = s1.inner_ranges
     lefts1 = s1.lefts.tolist()
     rights1 = s1.rights.tolist()
@@ -98,9 +97,9 @@ def row_barrier_stage_one(
     for a in range(s1.n_arcs):
         i1, j1 = lefts1[a], rights1[a]
         r1 = (int(inner1[a, 0]), int(inner1[a, 1]))
-        row = values[i1 + 1]
+        row = values[a]
         with span("tabulate_row", "compute", row=i1 + 1, columns=len(owned)):
-            row[owned_cols] = tabulate_row(
+            row[owned_arr] = tabulate_row(
                 values, s1, s2, i1 + 1, j1 - 1, owned_arr,
                 r1=r1, instrumentation=inst,
             )

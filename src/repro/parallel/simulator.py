@@ -282,8 +282,8 @@ class PRNASimulator:
     ) -> float:
         """Stage-one communication on the critical path of *schedule*.
 
-        The ``row`` schedule pays one ``Allreduce`` of an ``m``-element
-        memo row per outer arc.
+        The ``row`` schedule pays one ``Allreduce`` of an ``|A2|``-element
+        arc-table row per outer arc.
 
         The dataflow schedule pays point-to-point traffic: per arc with a
         reader, every consumer receives its column segment (``~n2/P``
@@ -314,7 +314,7 @@ class PRNASimulator:
                 + publications * seg_bytes * self.cluster.beta
                 + (n_ranks - 1) * self.cost_model.p2p(s1.n_arcs * seg_bytes)
             )
-        row_bytes = max(s2.length, 1) * self.dtype_bytes
+        row_bytes = s2.n_arcs * self.dtype_bytes
         return s1.n_arcs * self.cost_model.allreduce(
             n_ranks, row_bytes, self.allreduce_algorithm
         )

@@ -10,8 +10,12 @@ claim can be checked numerically and the contrast tabulated:
 * **topdown** — one memo entry per *reachable* subproblem (exact
   tabulation), plus dictionary overhead; still Theta(n^2 m^2) on dense
   worst-case structures;
-* **srna2 / prna** — the ``n x m`` memo table plus the largest live slice
-  (only one slice is resident at a time; PRNA replicates ``M`` per rank).
+* **srna2 / prna** — the paper's ``n x m`` memo table plus the largest
+  live slice (only one slice is resident at a time; PRNA replicates ``M``
+  per rank);
+* **arc_indexed** — the ``|A1| x |A2|`` arc table this library's SRNA2,
+  PRNA ranks, manager-worker and checkpoints actually hold
+  (:class:`~repro.core.memo.ArcMemoTable`), plus the same live slice.
 
 The peak-slice term uses the compressed layout actually allocated by
 :mod:`repro.core.slices`: ``(a + 1) x (b + 1)`` cells for a slice with
@@ -26,7 +30,12 @@ import numpy as np
 
 from repro.structure.arcs import Structure
 
-__all__ = ["MemoryFootprint", "estimate_footprints", "DICT_ENTRY_BYTES"]
+__all__ = [
+    "MemoryFootprint",
+    "estimate_footprints",
+    "memo_table_bytes",
+    "DICT_ENTRY_BYTES",
+]
 
 #: Rough CPython cost of one dict entry (key tuple + value + table slot).
 DICT_ENTRY_BYTES = 150
@@ -93,4 +102,25 @@ def estimate_footprints(
         "prna": MemoryFootprint(
             "prna", n * m * itemsize * n_ranks, slice_bytes * n_ranks
         ),
+        "arc_indexed": MemoryFootprint(
+            "arc_indexed", memo_table_bytes(s1, s2, itemsize=itemsize),
+            slice_bytes,
+        ),
     }
+
+
+def memo_table_bytes(
+    s1: Structure, s2: Structure, algorithm: str = "srna2", itemsize: int = 8
+) -> int:
+    """Resident bytes of one replica of *algorithm*'s memo table.
+
+    SRNA2, PRNA and manager-worker hold the arc table
+    (``|A1| * |A2| * itemsize``); SRNA1 the padded position table plus its
+    known-mask; ``dense`` and ``topdown`` their :func:`estimate_footprints`
+    tables.
+    """
+    if algorithm == "srna1":
+        return max(s1.length, 1) * max(s2.length, 1) * (itemsize + 1)
+    if algorithm in ("dense", "topdown"):
+        return estimate_footprints(s1, s2, itemsize)[algorithm].table_bytes
+    return s1.n_arcs * s2.n_arcs * itemsize

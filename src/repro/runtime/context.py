@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.check.sanitizer import SanitizedCommunicator
 from repro.core.instrument import Instrumentation
-from repro.core.memo import DenseMemoTable
+from repro.core.memo import ArcMemoTable
 from repro.errors import SimulationError
 from repro.mpi.communicator import Communicator, SelfCommunicator
 from repro.mpi.costmodel import CostModel
@@ -37,6 +37,7 @@ from repro.mpi.process import run_multiprocess
 from repro.obs.runrecord import RunRecord, append_run_record, new_run_id
 from repro.obs.tracer import Tracer
 from repro.runtime.plan import Plan
+from repro.structure.arcs import Structure
 
 __all__ = [
     "ExecutionContext",
@@ -46,7 +47,7 @@ __all__ = [
 #: The sanctioned raw-construction table (see module docstring): every
 #: direct communicator/tracer/result-table construction in the tree lives
 #: in this one suppressed line, and the helpers below are the only callers.
-_RAW: dict[str, Callable[..., Any]] = dict(tracer=lambda: Tracer(), sanitize=lambda comm, timeout, tracer: SanitizedCommunicator(comm, timeout=timeout, tracer=tracer), self_comm=lambda clock, cost_model: SelfCommunicator(clock, cost_model), result_memo=lambda shape: DenseMemoTable.wrap(np.frombuffer(mmap.mmap(-1, shape[0] * shape[1] * 8), dtype=np.int64).reshape(shape)), threaded=lambda *a, **k: run_threaded(*a, **k), multiprocess=lambda *a, **k: run_multiprocess(*a, **k))  # noqa: ARCH001
+_RAW: dict[str, Callable[..., Any]] = dict(tracer=lambda: Tracer(), sanitize=lambda comm, timeout, tracer: SanitizedCommunicator(comm, timeout=timeout, tracer=tracer), self_comm=lambda clock, cost_model: SelfCommunicator(clock, cost_model), result_memo=lambda s1, s2: ArcMemoTable.wrap(np.frombuffer(mmap.mmap(-1, max(s1.n_arcs * s2.n_arcs * 8, 1)), dtype=np.int64, count=s1.n_arcs * s2.n_arcs).reshape(s1.n_arcs, s2.n_arcs), s1, s2), threaded=lambda *a, **k: run_threaded(*a, **k), multiprocess=lambda *a, **k: run_multiprocess(*a, **k))  # noqa: ARCH001
 
 
 def sanitize_communicator(
@@ -115,8 +116,8 @@ class ExecutionContext:
         return False
 
     # ------------------------------------------------------------------
-    def result_memo(self, n: int, m: int) -> DenseMemoTable:
-        """A zeroed ``(n, m)`` result table the ranks of a launch share.
+    def result_memo(self, s1: Structure, s2: Structure) -> ArcMemoTable:
+        """A zeroed arc table for ``(s1, s2)`` the ranks of a launch share.
 
         Backed by an anonymous ``MAP_SHARED`` mapping created in the
         calling process: forked process ranks inherit it, so the rank
@@ -125,8 +126,11 @@ class ExecutionContext:
         see the same memory directly.  The mapping has no name — nothing
         in ``/dev/shm`` to leak — and is unmapped with its last reference.
         Allocate one per launch: the writer relies on it starting zeroed.
+        Only the ``|A1| x |A2|`` cells are shared; the score travels with
+        the rank's result, and the caller that launched the ranks sets
+        ``score``.
         """
-        return _RAW["result_memo"]((max(n, 1), max(m, 1)))
+        return _RAW["result_memo"](s1, s2)
 
     def instrumentation(self) -> Instrumentation:
         """A fresh :class:`Instrumentation` wired to this context's tracer."""

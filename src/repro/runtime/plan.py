@@ -39,7 +39,9 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
+from repro.errors import MemoryBudgetError
 from repro.mpi.costmodel import ClusterSpec
+from repro.perf.memory import memo_table_bytes
 from repro.perf.model import WorkModel
 from repro.runtime.registry import (
     AUTO,
@@ -101,8 +103,10 @@ class ResourceHints:
     backend:
         ``"auto"`` (default) or a concrete backend name to pin.
     memory_bytes:
-        Optional memory budget; the memo footprint estimate is checked
-        against it and recorded in the rationale.
+        Optional memory budget for the memo tables (one replica per
+        rank).  The planner caps the world size at the replicas that fit
+        and raises :class:`~repro.errors.MemoryBudgetError` at plan time
+        when even one replica — or a caller-requested world — does not.
     predictable_costs:
         ``True`` (default) for this recurrence — per-slice costs are a
         known outer product, so static greedy partitioning wins.  ``False``
@@ -328,6 +332,10 @@ class Planner:
             f"({wm.seconds_per_cell:.3g} s/cell, {wm_source})",
         ]
 
+        per_replica = memo_table_bytes(
+            s1, s2, "srna2" if algorithm == AUTO else algorithm
+        )
+        max_ranks = self._fit_memory(per_replica, max_ranks, rationale)
         chosen_ranks = n_ranks
         if algorithm == AUTO and checkpoint_path is not None:
             algorithm = "srna2"
@@ -363,7 +371,9 @@ class Planner:
                 )
             else:
                 sync_mode = "row"
-        self._note_memory(s1, s2, chosen_ranks, resolved_backend, rationale)
+        self._note_memory(
+            per_replica, algorithm, chosen_ranks, resolved_backend, rationale
+        )
         if sanitize:
             rationale.append(
                 "runtime SPMD sanitizer requested (bit-identical results, "
@@ -562,24 +572,48 @@ class Planner:
         )
         return mode
 
+    def _fit_memory(
+        self, per_replica: int, max_ranks: int, rationale: list[str]
+    ) -> int:
+        """The rank budget left by the memory budget (a replica per rank).
+
+        Raises :class:`MemoryBudgetError` when not even one replica fits.
+        """
+        budget = self.hints.memory_bytes
+        if budget is None or per_replica == 0:
+            return max_ranks
+        fit = budget // per_replica
+        if fit < 1:
+            raise MemoryBudgetError(per_replica, budget, "one replica")
+        if fit < max_ranks:
+            rationale.append(
+                f"memory budget {budget / 1e6:.3g} MB fits {fit} memo "
+                f"replica(s) of {per_replica / 1e6:.3g} MB -> at most "
+                f"{fit} rank(s)"
+            )
+            return fit
+        return max_ranks
+
     def _note_memory(
         self,
-        s1: Structure,
-        s2: Structure,
+        per_replica: int,
+        algorithm: str,
         n_ranks: int,
         backend: str,
         rationale: list[str],
     ) -> None:
         replicas = n_ranks if backend != "self" else 1
-        footprint = max(s1.length, 1) * max(s2.length, 1) * 8 * replicas
-        note = (
-            f"memo footprint ~{footprint / 1e6:.2g} MB "
-            f"({replicas} replica(s) of int64 M)"
+        footprint = per_replica * replicas
+        layout = (
+            f"{algorithm} table"
+            if algorithm in ("srna1", "dense", "topdown")
+            else "int64 |A1| x |A2| arc table"
         )
+        what = f"{replicas} replica(s) of the {layout}"
         budget = self.hints.memory_bytes
         if budget is not None and footprint > budget:
-            note += f" EXCEEDS the {budget / 1e6:.2g} MB budget"
-        rationale.append(note)
+            raise MemoryBudgetError(footprint, budget, what)
+        rationale.append(f"memo footprint ~{footprint / 1e6:.2g} MB ({what})")
 
     # ------------------------------------------------------------------
     def plan_batch(

@@ -260,7 +260,9 @@ def cost_contract_for(key: str) -> CostContract | None:
 # dimensions (the WorkModel's seconds_per_cell * rows * cols).  The
 # per-slice engines' contracts sit on their kernels; the batched engine's
 # lives on ``_segmented_tabulate`` because its row entry only adds chunking
-# around it.
+# around it.  Its row loop reads each row's d2 terms with one ``np.take``
+# from the arc-table row and runs five width-long kernels, so the degree
+# stays 2 in (n_rows, width).
 declare_cost(
     CostContract(
         key="engine:python",
@@ -274,7 +276,7 @@ declare_cost(
         key="engine:vectorized",
         entry="repro.core.slices.tabulate_slice_vectorized",
         degree=2,
-        polynomial="n_rows * n_cols (one 2-D memo gather + 4 row kernels)",
+        polynomial="n_rows * n_cols (one arc-table block + 4 row kernels)",
     )
 )
 declare_cost(

@@ -23,7 +23,7 @@ from repro.core.backtrace import MatchedPair, backtrace
 from repro.core.checkpoint import srna2_checkpointed
 from repro.core.dense import dense_mcos
 from repro.core.instrument import Instrumentation
-from repro.core.memo import DenseMemoTable
+from repro.core.memo import ArcMemoTable, DenseMemoTable
 from repro.core.srna1 import srna1
 from repro.core.srna2 import srna2
 from repro.core.topdown import topdown_mcos
@@ -54,7 +54,7 @@ class SolveResult:
     plan: Plan
     matched_pairs: list[MatchedPair] | None = None
     instrumentation: Instrumentation | None = field(default=None, repr=False)
-    memo: DenseMemoTable | None = field(default=None, repr=False)
+    memo: ArcMemoTable | DenseMemoTable | None = field(default=None, repr=False)
     comm_stats: dict[str, Any] | None = None
     simulated_time: float | None = None
     record: RunRecord | None = field(default=None, repr=False)
@@ -78,7 +78,7 @@ def _run_sequential(
     with_backtrace: bool = False,
     checkpoint_path: str | None = None,
     checkpoint_every: int = 64,
-) -> tuple[int, DenseMemoTable | None, list[MatchedPair] | None]:
+) -> tuple[int, ArcMemoTable | DenseMemoTable | None, list[MatchedPair] | None]:
     """Dispatch one sequential algorithm; (score, memo, matched_pairs)."""
     if with_backtrace and algorithm not in ("srna1", "srna2"):
         raise ValueError(
@@ -302,7 +302,7 @@ class Solver:
         if plan.algorithm == "managerworker":
             from repro.parallel.managerworker import manager_worker_rank
 
-            out = ctx.result_memo(s1.length, s2.length)
+            out = ctx.result_memo(s1, s2)
             results = ctx.launch(
                 lambda comm: manager_worker_rank(
                     comm, s1, s2, engine=plan.engine or "batched", out=out
@@ -315,6 +315,7 @@ class Solver:
             simulated = None
             if cost_model is not None:
                 first, simulated = first
+            out.score = first.score
             return SolveResult(
                 score=first.score, plan=plan, memo=out,
                 simulated_time=simulated,

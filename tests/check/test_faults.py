@@ -426,7 +426,6 @@ class TestProtocolFaults:
         def fn(comm):
             c = sanitized(comm)
             c.declare_publication_schedule(
-                row_of_arc=s1.lefts + 1,
                 dep_lo=s1.inner_ranges[:, 0],
                 dep_hi=s1.inner_ranges[:, 1],
                 expected_installs=1,
@@ -448,7 +447,6 @@ class TestProtocolFaults:
         def fn(comm):
             c = sanitized(comm)
             c.declare_publication_schedule(
-                row_of_arc=s1.lefts + 1,
                 dep_lo=s1.inner_ranges[:, 0],
                 dep_hi=s1.inner_ranges[:, 1],
                 expected_installs=1,
@@ -466,7 +464,6 @@ class TestProtocolFaults:
         def fn(comm):
             c = sanitized(comm)
             c.declare_publication_schedule(
-                row_of_arc=np.array([1]),
                 dep_lo=np.array([0]),
                 dep_hi=np.array([0]),
             )
@@ -479,7 +476,6 @@ class TestProtocolFaults:
         def fn(comm):
             c = sanitized(comm)
             c.declare_publication_schedule(
-                row_of_arc=np.array([1]),
                 dep_lo=np.array([0]),
                 dep_hi=np.array([0]),
             )

@@ -6,7 +6,11 @@ import pytest
 import repro.core.slices as slices_mod
 from repro.core.checkpoint import Checkpoint, CheckpointError, srna2_checkpointed
 from repro.core.srna2 import srna2
-from repro.structure.generators import comb_structure, contrived_worst_case
+from repro.structure.generators import (
+    comb_structure,
+    contrived_worst_case,
+    rna_like_structure,
+)
 
 
 class TestUninterrupted:
@@ -122,3 +126,34 @@ class TestSafety:
         assert loaded.next_arc == 2
         assert loaded.digest == "abc123"
         assert np.array_equal(loaded.memo_values, values)
+
+
+class TestFormat:
+    def test_checkpoint_holds_the_arc_table(self, tmp_path):
+        s = rna_like_structure(300, 75, seed=3)
+        assert s.n_arcs == 75
+        reference = srna2(s, s)
+        path = tmp_path / "arcs.ckpt.npz"
+        with pytest.raises(InterruptedError):
+            srna2_checkpointed(s, s, path, every=10, interrupt_after=30)
+        saved = Checkpoint.load(path)
+        assert saved.memo_values.shape == (75, 75)
+        assert saved.next_arc == 30
+        assert np.array_equal(
+            saved.memo_values[:30], reference.memo.arcs[:30]
+        )
+        resumed = srna2_checkpointed(s, s, path)
+        assert resumed.score == reference.score == 75
+        assert np.array_equal(resumed.memo.values, reference.memo.values)
+
+    def test_v1_file_rejected(self, tmp_path):
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path, version=np.int64(1), next_arc=np.int64(0),
+            memo=np.zeros((4, 4), dtype=np.int64),
+            digest=np.frombuffer(b"abc", dtype=np.uint8),
+        )
+        with pytest.raises(
+            CheckpointError, match="checkpoint format v1 is not supported"
+        ):
+            Checkpoint.load(path)

@@ -31,7 +31,7 @@ def test_resume_index_at_end_runs_stage_two(saved):
     structure, path = saved
     digest = Checkpoint.load(path).digest
     reference = srna2(structure, structure)
-    Checkpoint(structure.n_arcs, reference.memo.values, digest).save(path)
+    Checkpoint(structure.n_arcs, reference.memo.arcs, digest).save(path)
     result = srna2_checkpointed(structure, structure, path)
     assert result.score == reference.score == 20
     assert not path.exists()

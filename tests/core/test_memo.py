@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.memo import KEY_NOT_FOUND, DenseMemoTable, SparseMemoTable
+from repro.core.memo import (
+    KEY_NOT_FOUND,
+    ArcMemoTable,
+    DenseMemoTable,
+    SparseMemoTable,
+)
+from repro.core.srna2 import srna2
+from repro.structure.dotbracket import from_dotbracket
+from repro.structure.generators import rna_like_structure
 
 
 class TestKeyNotFound:
@@ -73,3 +81,56 @@ class TestSparseMemoTable:
         before = memo.nbytes()
         memo.store(0, 1, 2)
         assert memo.nbytes() > before
+
+
+class TestArcMemoTable:
+    def test_shape_and_nbytes(self):
+        s1 = from_dotbracket("(()).(.)")
+        s2 = from_dotbracket("((.))")
+        memo = ArcMemoTable(s1, s2)
+        assert memo.shape == (3, 2)
+        assert memo.nbytes() == 3 * 2 * 8
+        assert memo.score == 0
+
+    def test_positions_layout(self):
+        s1 = from_dotbracket("(()).(.)")  # lefts 0, 1, 5
+        s2 = from_dotbracket("((.))")  # lefts 0, 1 (right-endpoint order 1, 0)
+        memo = ArcMemoTable(s1, s2)
+        memo.arcs[...] = np.arange(6).reshape(3, 2) + 1
+        memo.score = 9
+        values = memo.values
+        assert values.shape == (8, 5)
+        assert values[0, 0] == 9
+        for a1, l1 in enumerate(s1.lefts):
+            for a2, l2 in enumerate(s2.lefts):
+                assert values[l1 + 1, l2 + 1] == memo.arcs[a1, a2]
+        assert int(values.sum()) == 9 + int(memo.arcs.sum())
+
+    def test_values_is_an_expansion(self):
+        s = from_dotbracket("(())")
+        memo = ArcMemoTable(s, s)
+        memo.values[1, 1] = 5
+        assert not memo.arcs.any()
+
+    def test_from_positions_round_trip(self):
+        s1 = rna_like_structure(60, 14, seed=1)
+        s2 = rna_like_structure(50, 12, seed=2)
+        run = srna2(s1, s2)
+        back = ArcMemoTable.from_positions(run.memo.values, s1, s2)
+        assert back.score == run.score
+        assert np.array_equal(back.arcs, run.memo.arcs)
+
+    def test_wrap_checks_shape(self):
+        s = from_dotbracket("(())")
+        with pytest.raises(ValueError, match="expected"):
+            ArcMemoTable.wrap(np.zeros((3, 2), dtype=np.int64), s, s)
+        table = ArcMemoTable.wrap(np.zeros((2, 2), dtype=np.int64), s, s)
+        assert table.shape == (2, 2)
+
+    def test_arcless_structures(self):
+        empty = from_dotbracket("")
+        s = from_dotbracket("(.)")
+        memo = ArcMemoTable(empty, s)
+        assert memo.shape == (0, 1)
+        assert memo.nbytes() == 0
+        assert memo.values.shape == (1, 3)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from repro.core.dense import dense_table
 from repro.core.instrument import Instrumentation
-from repro.core.memo import DenseMemoTable
+from repro.core.memo import ArcMemoTable
 from repro.core.slices import (
     ENGINES,
     SliceTable,
@@ -48,35 +48,32 @@ class TestEnginesAgree:
     @pytest.mark.parametrize("seed", range(20))
     def test_parent_slice_both_engines(self, seed):
         s1, s2 = make_random_pair(seed)
-        memo_a = DenseMemoTable(s1.length, s2.length)
-        memo_b = DenseMemoTable(s1.length, s2.length)
         # Use SRNA2 to populate child results first (both engines).
         res_vec = srna2(s1, s2, engine="vectorized")
         res_py = srna2(s1, s2, engine="python")
         assert res_vec.score == res_py.score
         assert np.array_equal(res_vec.memo.values, res_py.memo.values)
-        del memo_a, memo_b
 
     def test_keep_table_matches_result(self):
         s = contrived_worst_case(12)
         run = srna2(s, s)
         table = tabulate_slice_vectorized(
-            run.memo.values, s, s, 0, 11, 0, 11, keep_table=True
+            run.memo.arcs, s, s, 0, 11, 0, 11, keep_table=True
         )
         assert isinstance(table, SliceTable)
         assert table.result == run.score
 
     def test_empty_slice(self):
         s = from_dotbracket("....")
-        memo = DenseMemoTable(4, 4)
+        memo = ArcMemoTable(s, s)
         for engine in ENGINES.values():
-            assert engine(memo.values, s, s, 0, 3, 0, 3) == 0
+            assert engine(memo.arcs, s, s, 0, 3, 0, 3) == 0
 
     def test_empty_slice_keep_table(self):
         s = from_dotbracket("..")
-        memo = DenseMemoTable(2, 2)
+        memo = ArcMemoTable(s, s)
         table = tabulate_slice_vectorized(
-            memo.values, s, s, 0, 1, 0, 1, keep_table=True
+            memo.arcs, s, s, 0, 1, 0, 1, keep_table=True
         )
         assert table.result == 0
         assert table.value_at(1, 1) == 0
@@ -98,7 +95,7 @@ class TestSliceValuesAgainstDense:
             return
         run = srna2(s1, s2)
         table = tabulate_slice_vectorized(
-            run.memo.values, s1, s2,
+            run.memo.arcs, s1, s2,
             0, s1.length - 1, 0, s2.length - 1,
             keep_table=True,
         )
@@ -114,7 +111,7 @@ class TestSliceValuesAgainstDense:
             pytest.skip("degenerate draw")
         run = srna2(s1, s2, engine="python")
         table = tabulate_slice_python(
-            run.memo.values, s1, s2,
+            run.memo.arcs, s1, s2,
             0, s1.length - 1, 0, s2.length - 1,
             keep_table=True,
         )
@@ -135,7 +132,7 @@ class TestSliceProperties:
             return
         run = srna2(s1, s2)
         table = tabulate_slice_vectorized(
-            run.memo.values, s1, s2,
+            run.memo.arcs, s1, s2,
             0, s1.length - 1, 0, s2.length - 1,
             keep_table=True,
         )
@@ -145,10 +142,10 @@ class TestSliceProperties:
 
     def test_instrumentation_cell_count(self):
         s = contrived_worst_case(10)  # 5 arcs, fully nested
-        memo = DenseMemoTable(10, 10)
+        memo = ArcMemoTable(s, s)
         inst = Instrumentation()
         tabulate_slice_vectorized(
-            memo.values, s, s, 0, 9, 0, 9, instrumentation=inst
+            memo.arcs, s, s, 0, 9, 0, 9, instrumentation=inst
         )
         assert inst.slices_tabulated == 1
         assert inst.cells_tabulated == 25  # 5 x 5 arc pairs

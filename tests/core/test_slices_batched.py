@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 import repro.core.slices as slices_mod
 from repro.core.instrument import Instrumentation
-from repro.core.memo import DenseMemoTable
+from repro.core.memo import ArcMemoTable
 from repro.core.slices import (
     ENGINES,
     ROW_ENGINES,
@@ -34,8 +34,8 @@ from tests.conftest import make_random_pair, structure_pairs
 
 
 def _populated_memo(s1: Structure, s2: Structure) -> np.ndarray:
-    """A memo table filled by the reference engine (stage one included)."""
-    return srna2(s1, s2, engine="vectorized").memo.values
+    """An arc table filled by the reference engine (stage one included)."""
+    return srna2(s1, s2, engine="vectorized").memo.arcs
 
 
 def _child_tables(s1, s2, memo_values, engine, b):
@@ -105,15 +105,15 @@ class TestAllEnginesAgree:
 
     def test_empty_structures(self):
         empty = Structure(0, ())
-        memo = DenseMemoTable(0, 0)
+        memo = ArcMemoTable(empty, empty)
         for name, engine in ENGINES.items():
-            assert engine(memo.values, empty, empty, 0, -1, 0, -1) == 0, name
+            assert engine(memo.arcs, empty, empty, 0, -1, 0, -1) == 0, name
 
     def test_arcless_structures(self):
         s = from_dotbracket("....")
-        memo = DenseMemoTable(4, 4)
+        memo = ArcMemoTable(s, s)
         for name, engine in ENGINES.items():
-            assert engine(memo.values, s, s, 0, 3, 0, 3) == 0, name
+            assert engine(memo.arcs, s, s, 0, 3, 0, 3) == 0, name
 
     def test_single_arc(self):
         s = from_dotbracket("(..)")
@@ -176,18 +176,18 @@ class TestBatchAPI:
 
     def test_empty_batch(self):
         s = contrived_worst_case(8)
-        memo = DenseMemoTable(8, 8)
+        memo = ArcMemoTable(s, s)
         for name, row in ROW_ENGINES.items():
-            got = row(memo.values, s, s, 1, 6, [])
+            got = row(memo.arcs, s, s, 1, 6, [])
             assert got.shape == (0,), name
 
     def test_rowless_interval(self):
         """An S1 interval with no arcs yields all zeros (empty slices)."""
         s1 = from_dotbracket("()....")
         s2 = contrived_worst_case(8)
-        memo = DenseMemoTable(6, 8)
+        memo = ArcMemoTable(s1, s2)
         for name, row in ROW_ENGINES.items():
-            got = row(memo.values, s1, s2, 2, 5, np.arange(s2.n_arcs))
+            got = row(memo.arcs, s1, s2, 2, 5, np.arange(s2.n_arcs))
             assert (got == 0).all(), name
 
     def test_empty_slices_interleaved(self):
@@ -216,7 +216,7 @@ class TestBatchAPI:
         full = tabulate_slices_batched(
             memo, s1, s2, 1, 18, np.arange(s2.n_arcs)
         )
-        monkeypatch.setattr(slices_mod, "_MAX_GATHER_ELEMENTS", 4)
+        monkeypatch.setattr(slices_mod, "_MAX_BATCH_ELEMENTS", 4)
         chunked = tabulate_slices_batched(
             memo, s1, s2, 1, 18, np.arange(s2.n_arcs)
         )
@@ -282,3 +282,56 @@ class TestValuesAt:
             memo, s, s, 0, 7, 0, 7, keep_table=True
         )
         assert int(table.values_at(7, 7)) == table.value_at(7, 7)
+
+
+def _position_reference(s1: Structure, s2: Structure) -> np.ndarray:
+    """The paper's n x m table, cell by cell: ``M[i1+1, i2+1]`` is the
+    MCOS of the two arcs' interiors and ``M[0, 0]`` the whole score."""
+    values = np.zeros((max(s1.length, 1), max(s2.length, 1)), dtype=np.int64)
+    for a1 in s1.arcs:
+        inner1 = s1.restricted_to(a1.left + 1, a1.right - 1)
+        for a2 in s2.arcs:
+            inner2 = s2.restricted_to(a2.left + 1, a2.right - 1)
+            values[a1.left + 1, a2.left + 1] = srna2(inner1, inner2).score
+    values[0, 0] = srna2(s1, s2).score
+    return values
+
+
+class TestArcLayout:
+    """The arc-indexed table is the position table's arc-pair cells."""
+
+    @given(structure_pairs(max_arcs=5))
+    @settings(max_examples=40, deadline=None)
+    def test_arcs_are_gathered_positions(self, pair):
+        s1, s2 = pair
+        expected = _position_reference(s1, s2)
+        for name in ENGINES:
+            memo = srna2(s1, s2, engine=name).memo
+            assert memo.shape == (s1.n_arcs, s2.n_arcs), name
+            assert memo.nbytes() == s1.n_arcs * s2.n_arcs * 8, name
+            assert np.array_equal(
+                memo.arcs, memo.positions()[np.ix_(s1.lefts + 1, s2.lefts + 1)]
+            ), name
+            positions = memo.positions()
+            assert positions.dtype == expected.dtype, name
+            assert np.array_equal(positions, expected), name
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_position_table_replay(self, seed):
+        """The end-to-end benchmark's per-layer replay: the batched row
+        entry over the expanded ``run.memo.values`` reproduces every memo
+        row SRNA2 wrote."""
+        s1, s2 = make_random_pair(seed)
+        run = srna2(s1, s2, engine="batched")
+        values = run.memo.values
+        all_arcs2 = np.arange(s2.n_arcs, dtype=np.int64)
+        row_cols = s2.lefts + 1
+        for a in range(s1.n_arcs):
+            i1, j1 = int(s1.lefts[a]), int(s1.rights[a])
+            r1 = (int(s1.inner_ranges[a, 0]), int(s1.inner_ranges[a, 1]))
+            out = tabulate_slices_batched(
+                values, s1, s2, i1 + 1, j1 - 1, all_arcs2,
+                r1=r1, instrumentation=Instrumentation(),
+            )
+            assert np.array_equal(out, values[i1 + 1, row_cols]), (seed, a)
+            assert np.array_equal(out, run.memo.arcs[a]), (seed, a)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import space
+from repro.structure.generators import contrived_worst_case
 
 
 class TestSpaceExperiment:
@@ -23,13 +24,17 @@ class TestSpaceExperiment:
         )
 
     def test_measured_matches_model(self, record):
-        """The measured memo allocation equals the model's table term
-        exactly (the peak-slice term is transient)."""
-        for row in record.rows:
-            if row["measured_memo_mb"] is not None:
-                assert row["measured_memo_mb"] == pytest.approx(
-                    row["srna2_table_mb_8byte"]
-                )
+        """The measured memo allocation equals the arc-indexed model's
+        table term, |A1| * |A2| * 8 bytes, exactly (the peak-slice term is
+        transient)."""
+        measured = [r for r in record.rows if r["measured_memo_mb"] is not None]
+        assert measured
+        for row in measured:
+            arcs = contrived_worst_case(row["length"]).n_arcs
+            assert row["measured_memo_mb"] * 1e6 == arcs * arcs * 8
+            assert row["measured_memo_mb"] == pytest.approx(
+                row["arc_table_mb_8byte"]
+            )
 
     def test_paper_claim_at_1600(self):
         record = space.run(scale="default")

@@ -191,7 +191,7 @@ class TestPRNAOverPipes:
         result = prna(s, s, 4, backend="process", collect_stats=True)
         stats = result.comm_stats
         assert stats["allreduces"] == s.n_arcs
-        assert stats["allreduce_bytes"] == s.n_arcs * s.length * 8
+        assert stats["allreduce_bytes"] == s.n_arcs * s.n_arcs * 8
         # Nothing of the run is left behind in /dev/shm.
         assert _dev_shm() - before == set()
 

@@ -82,7 +82,7 @@ class TestPRNAPattern:
 
         world = 3
         out = run_threaded(fn, world)
-        m = structure.length
+        m = structure.n_arcs  # one arc-table row: |A2| cells
         for score, counters in out:
             assert score == structure.n_arcs
             assert counters["allreduces"] == structure.n_arcs

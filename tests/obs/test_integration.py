@@ -81,9 +81,10 @@ class TestTracedPRNA:
         structure, _, result, _ = traced_run
         assert result.comm_stats is not None
         assert result.comm_stats["allreduces"] == structure.n_arcs
-        # One m-element int64 memo row per outer arc (paper §V-B).
+        # One int64 memo row per outer arc (paper §V-B), |A2| cells long
+        # in the arc-indexed table.
         assert result.comm_stats["allreduce_bytes"] == (
-            structure.n_arcs * structure.length * 8
+            structure.n_arcs * structure.n_arcs * 8
         )
 
     def test_trace_report_reproduces_figure8_categories(self, traced_run):

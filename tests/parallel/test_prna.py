@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro import solve
+from repro.core.slices import ENGINES
 from repro.core.srna2 import srna2
 from repro.errors import CommunicatorError, SimulationError
 from repro.mpi.costmodel import CostModel
 from repro.mpi.inprocess import run_threaded
 from repro.parallel.prna import SYNC_MODES, prna, prna_rank
+from repro.runtime.context import ExecutionContext
 from repro.structure.generators import (
     comb_structure,
     contrived_worst_case,
@@ -212,3 +214,35 @@ class TestPartitionExposure:
         assert result.partition.n_ranks == 3
         assert result.partition.n_tasks == s.n_arcs
         assert int(result) == 15
+
+
+class TestArcTables:
+    """Every rank holds the |A1| x |A2| arc table, never the n x m one."""
+
+    @pytest.mark.parametrize("sync_mode", ["row", "dataflow"])
+    def test_every_rank_table_is_arc_sized(self, sync_mode):
+        s1 = rna_like_structure(140, 32, seed=3)
+        s2 = rna_like_structure(120, 27, seed=4)
+        results = ExecutionContext().launch(
+            lambda comm: prna_rank(comm, s1, s2, sync_mode=sync_mode),
+            n_ranks=3, backend="thread",
+        )
+        for result in results:
+            assert result.memo.shape == (32, 27)
+            assert result.memo.nbytes() == 32 * 27 * 8
+        result = prna(s1, s2, 3, backend="thread", sync_mode=sync_mode)
+        assert result.memo.nbytes() == 32 * 27 * 8
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("sync_mode", ["row", "dataflow"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_parity_matrix(self, engine, sync_mode, backend):
+        s1 = rna_like_structure(70, 16, seed=11)
+        s2 = contrived_worst_case(30)
+        ref = srna2(s1, s2)
+        result = prna(
+            s1, s2, 2, backend=backend, engine=engine, sync_mode=sync_mode
+        )
+        assert result.score == ref.score
+        assert np.array_equal(result.memo.arcs, ref.memo.arcs)
+        assert np.array_equal(result.memo.values, ref.memo.values)

@@ -69,14 +69,14 @@ class TestPrnaDriver:
         )
         assert result.score == ref.score
         assert np.array_equal(result.memo.values, ref.memo.values)
-        assert _mapped(result.memo.values)
+        assert _mapped(result.memo.arcs)
 
     def test_cost_model_path(self, pair):
         s1, s2, ref = pair
         result = prna(s1, s2, 2, backend="process", cost_model=CostModel())
         assert result.simulated_time is not None and result.simulated_time > 0
         assert np.array_equal(result.memo.values, ref.memo.values)
-        assert _mapped(result.memo.values)
+        assert _mapped(result.memo.arcs)
 
     @pytest.mark.parametrize("backend", ["thread", "self"])
     def test_in_process_backends_share_the_path(self, pair, backend):
@@ -84,7 +84,7 @@ class TestPrnaDriver:
         ranks = 1 if backend == "self" else 2
         result = prna(s1, s2, ranks, backend=backend)
         assert np.array_equal(result.memo.values, ref.memo.values)
-        assert _mapped(result.memo.values)
+        assert _mapped(result.memo.arcs)
 
     @pytest.mark.parametrize("other", [Structure(0, ()), Structure(7, ())])
     def test_zero_arc_shapes(self, other):
@@ -93,9 +93,9 @@ class TestPrnaDriver:
             ref = srna2(s1, s2)
             result = prna(s1, s2, 2, backend="process")
             assert result.score == ref.score == 0
-            assert result.memo.shape == (max(s1.length, 1), max(s2.length, 1))
+            assert result.memo.shape == (s1.n_arcs, s2.n_arcs)
             assert np.array_equal(result.memo.values, ref.memo.values)
-            assert _mapped(result.memo.values)
+            assert _mapped(result.memo.arcs)
 
 
 class TestRankResults:
@@ -103,16 +103,16 @@ class TestRankResults:
     def test_ranks_return_no_table(self, pair, sync_mode):
         s1, s2, ref = pair
         context = ExecutionContext()
-        out = context.result_memo(s1.length, s2.length)
+        out = context.result_memo(s1, s2)
         results = context.launch(
             lambda comm: prna_rank(comm, s1, s2, sync_mode=sync_mode, out=out),
             n_ranks=2, backend="process",
         )
-        table_bytes = s1.length * s2.length * 8
+        table_bytes = s1.n_arcs * s2.n_arcs * 8
         for result in results:
             assert result.memo is None
-            assert len(pickle.dumps(result)) < table_bytes / 10
-        assert np.array_equal(out.values, ref.memo.values)
+            assert len(pickle.dumps(result)) < table_bytes / 2
+        assert np.array_equal(out.arcs, ref.memo.arcs)
 
     def test_without_out_ranks_keep_their_tables(self, pair):
         s1, s2, ref = pair
@@ -125,17 +125,20 @@ class TestRankResults:
 
     def test_out_shape_is_checked(self, pair):
         s1, s2, _ = pair
-        wrong = ExecutionContext().result_memo(s1.length, s2.length + 1)
+        wrong = ExecutionContext().result_memo(s1, s1)
         with pytest.raises(ValueError, match="out table has shape"):
             ExecutionContext().launch(
                 lambda comm: prna_rank(comm, s1, s2, out=wrong), backend="self"
             )
 
     def test_result_memo_starts_zeroed(self):
-        table = ExecutionContext().result_memo(0, 5)
-        assert table.shape == (1, 5)
-        assert not table.values.any()
-        assert _mapped(table.values)
+        s = contrived_worst_case(10)
+        table = ExecutionContext().result_memo(Structure(0, ()), s)
+        assert table.shape == (0, 5)
+        table = ExecutionContext().result_memo(s, s)
+        assert table.shape == (5, 5)
+        assert not table.arcs.any()
+        assert _mapped(table.arcs)
 
 
 class TestManagerWorker:
@@ -145,28 +148,28 @@ class TestManagerWorker:
         result = manager_worker(s, s, 3, backend="process")
         assert result.score == ref.score
         assert np.array_equal(result.memo.values, ref.memo.values)
-        assert _mapped(result.memo.values)
+        assert _mapped(result.memo.arcs)
 
     def test_manager_returns_no_table(self):
         s = contrived_worst_case(30)
         context = ExecutionContext()
-        out = context.result_memo(s.length, s.length)
+        out = context.result_memo(s, s)
         results = context.launch(
             lambda comm: manager_worker_rank(comm, s, s, out=out),
             n_ranks=2, backend="process",
         )
         assert all(result.memo is None for result in results)
-        assert np.array_equal(out.values, srna2(s, s).memo.values)
+        assert np.array_equal(out.arcs, srna2(s, s).memo.arcs)
 
     def test_solver_branch(self):
         s = contrived_worst_case(30)
         result = solve(s, s, algorithm="managerworker", n_ranks=2, backend="process")
         assert np.array_equal(result.memo.values, srna2(s, s).memo.values)
-        assert _mapped(result.memo.values)
+        assert _mapped(result.memo.arcs)
 
 
 def test_solver_prna_branch(pair):
     s1, s2, ref = pair
     result = solve(s1, s2, algorithm="prna", n_ranks=2, backend="process")
     assert np.array_equal(result.memo.values, ref.memo.values)
-    assert _mapped(result.memo.values)
+    assert _mapped(result.memo.arcs)

@@ -32,7 +32,7 @@ def test_dataflow_waits_only_for_the_slowest_rank(simulator, pair):
 
 def test_collective_schedules(simulator, pair):
     s1, s2 = pair
-    cost, row_bytes = simulator.cost_model, s2.length * 8
+    cost, row_bytes = simulator.cost_model, s2.n_arcs * 8
     row = simulator.price(s1, s2, 4, schedule="row")
     assert row.comm_seconds == pytest.approx(
         s1.n_arcs * cost.allreduce(4, row_bytes)

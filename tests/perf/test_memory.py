@@ -39,9 +39,10 @@ class TestEstimates:
 
     def test_measured_matches_model(self):
         s = contrived_worst_case(200)
-        predicted = estimate_footprints(s, s, itemsize=8)["srna2"]
+        predicted = estimate_footprints(s, s, itemsize=8)["arc_indexed"]
         result = srna2(s, s)
         assert result.memo.nbytes() == predicted.table_bytes
+        assert predicted.table_bytes == s.n_arcs * s.n_arcs * 8
 
     def test_topdown_dominates_srna2(self):
         s = contrived_worst_case(400)

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.errors import MemoryBudgetError
 from repro.runtime.plan import (
     PARALLEL_THRESHOLD_SECONDS,
     Planner,
@@ -146,9 +147,26 @@ class TestPlanObject:
         assert "cost_contract" not in plan.to_dict()
 
     def test_memory_budget_noted_when_exceeded(self, large):
-        hints = ResourceHints(max_ranks=8, memory_bytes=1024)
+        # One replica is the |A1| x |A2| int64 arc table: 200 x 200 x 8.
+        replica = large.n_arcs * large.n_arcs * 8
+        hints = ResourceHints(max_ranks=8, memory_bytes=2 * replica + 100)
         plan = Planner(hints).plan(large, large)
-        assert any("EXCEEDS" in reason for reason in plan.rationale)
+        assert plan.algorithm == "prna"
+        assert plan.n_ranks == 2  # the largest world whose replicas fit
+        assert any("fits 2 memo replica(s)" in r for r in plan.rationale)
+        assert any(
+            "memo footprint ~0.64 MB (2 replica(s)" in r for r in plan.rationale
+        )
+        # Not even one replica fits: a typed error at plan time.
+        hints = ResourceHints(max_ranks=8, memory_bytes=replica - 1)
+        with pytest.raises(MemoryBudgetError, match="one replica") as info:
+            Planner(hints).plan(large, large)
+        assert info.value.footprint == replica
+        assert info.value.budget == replica - 1
+        # A caller-requested world that does not fit is refused too.
+        hints = ResourceHints(max_ranks=8, memory_bytes=2 * replica + 100)
+        with pytest.raises(MemoryBudgetError, match="4 replica"):
+            Planner(hints).plan(large, large, algorithm="prna", n_ranks=4)
 
     def test_local_cluster_spec(self):
         spec = local_cluster(4)

@@ -269,3 +269,18 @@ class TestMcosShim:
         result = mcos("((..))", "((..))", with_backtrace=True)
         assert result.matched_pairs is not None
         assert len(result.matched_pairs) == result.score
+
+
+def test_rrna_sized_solve_never_expands_positions(monkeypatch):
+    """A 4216 nt / 721-arc solve holds only the arc table: no path from
+    planning to the returned result builds the n x m expansion."""
+    from repro.core.memo import ArcMemoTable
+
+    def forbidden(self):
+        raise AssertionError("position table expanded on a solve path")
+
+    monkeypatch.setattr(ArcMemoTable, "positions", forbidden)
+    s = rna_like_structure(4216, 721, seed=1)
+    result = solve(s, s, hints=ResourceHints(max_ranks=2))
+    assert result.score == s.n_arcs == 721
+    assert result.memo.nbytes() == 721 * 721 * 8
